@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, eigensolver, quantize, susy, wavefn
-from .params import AmbiguityParams, PhysicalParams, derive_params
+from .params import (AmbiguityParams, PhysicalParams, derive_params,
+                     momentum_domain)
 
 # Phase-space states for the Legendre-transform identity; states that fall
 # outside the phase constraint for the given parameters are skipped.
@@ -95,7 +96,7 @@ def _classical_checks(phys, amb):
 
 def _potential_checks(phys, amb):
     echo = _echo(phys, amb)
-    p_max = 3.0 * phys.omega ** 2 / phys.k
+    p_max = momentum_domain(phys)
     p = np.linspace(p_max - 8.0 * phys.omega ** 2 / phys.k, p_max * 0.96, 1000)
     profile = quantize.mass(phys, p)
     u_val = quantize.potential_U(phys, p)
@@ -110,7 +111,7 @@ def _potential_checks(phys, amb):
 def _susy_checks(phys, amb):
     echo = _echo(phys, amb)
     rows = []
-    p_max = 3.0 * phys.omega ** 2 / phys.k
+    p_max = momentum_domain(phys)
     grid = np.linspace(p_max - 8.0 * phys.omega ** 2 / phys.k, p_max * 0.96, 1000)
     products = _product_table(derive_params(phys, amb).a_script, amb.product)
 

@@ -11,43 +11,48 @@ defaults. LIENARDQM_OUTDIR overrides the default output directory.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
-from . import __version__, checks, classical, eigensolver, susy, wavefn
+from . import __version__, checks, classical, susy, wavefn
 from .errors import LienardError
 from .params import AmbiguityParams, PhysicalParams, derive_params
-
-DEFAULTS = {
-    "omega": 1.0, "k": 1.0, "hbar": 1.0, "alpha": 0.0, "gamma": 0.0,
-    "n_max": 5, "grid_n": 6000, "y_max": None, "h_p": 1e-3,
-    "k_sequence": "0.1,0.01,0.001", "a_values": "1e2,1e3,1e4,1e6",
-    "amplitude": 0.5, "phase": 0.0, "t_end": None, "step": 1e-3,
-    "level": 0, "samples": 1001,
-    "omega_values": None, "k_values": None,
-    "alpha_values": None, "gamma_values": None,
-    "output": None, "format": "csv",
-}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully merged options for one subcommand invocation."""
+    """Merged options of one invocation: the --config keys, built-in defaults."""
 
-    command: str
-    options: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
+    omega: float = 1.0
+    k: float = 1.0
+    hbar: float = 1.0
+    alpha: float = 0.0
+    gamma: float = 0.0
+    n_max: int = 5
+    grid_n: int = 6000
+    y_max: float | None = None
+    h_p: float = 1e-3
+    k_sequence: str = "0.1,0.01,0.001"
+    a_values: str = "1e2,1e3,1e4,1e6"
+    amplitude: float = 0.5
+    phase: float = 0.0
+    t_end: float | None = None
+    step: float = 1e-3
+    level: int = 0
+    samples: int = 1001
+    omega_values: str | None = None
+    k_values: str | None = None
+    alpha_values: str | None = None
+    gamma_values: str | None = None
+    output: str | None = None
+    format: str = "csv"
 
     def phys(self):
         return PhysicalParams(omega=self.omega, k=self.k, hbar=self.hbar)
@@ -58,7 +63,7 @@ class RunConfig:
     def echo(self):
         keys = ("omega", "k", "hbar", "alpha", "gamma", "n_max",
                 "grid_n", "y_max", "h_p")
-        return {k: self.options[k] for k in keys}
+        return {k: getattr(self, k) for k in keys}
 
 
 def _fmt(value):
@@ -209,18 +214,14 @@ def _sweep_point(args):
 
 
 def cmd_sweep(config):
-    omegas = (_parse_floats(config.omega_values)
-              if config.omega_values else (config.omega,))
-    ks = _parse_floats(config.k_values) if config.k_values else (config.k,)
-    alphas = (_parse_floats(config.alpha_values)
-              if config.alpha_values else (config.alpha,))
-    gammas = (_parse_floats(config.gamma_values)
-              if config.gamma_values else (config.gamma,))
-    points = [(w, k, a, g, config.hbar)
-              for w in omegas for k in ks for a in alphas for g in gammas]
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(_sweep_point, points))
-    rows.sort(key=lambda r: r[:4])  # tuple order, independent of scheduling
+    axes = [_parse_floats(values) if values else (single,)
+            for values, single in ((config.omega_values, config.omega),
+                                   (config.k_values, config.k),
+                                   (config.alpha_values, config.alpha),
+                                   (config.gamma_values, config.gamma))]
+    points = itertools.product(*axes, (config.hbar,))
+    rows = sorted(map(_sweep_point, points),
+                  key=lambda r: r[:4])  # axes may come unsorted
     path = write_output(_out_path(config, "sweep"),
                         ("omega", "k", "alpha", "gamma", "a_script",
                          "lambda", "shift", "e0"),
@@ -307,9 +308,22 @@ def build_parser():
     return parser
 
 
+def _checked(field, value):
+    """value if its JSON type fits the RunConfig field: an int fits a float
+    field, a bool no numeric one, and null only one whose default is None."""
+    nullable = field.default is None
+    kind = get_args(field.type)[0] if nullable else field.type
+    if (value is None and nullable or type(value) is kind
+            or kind is float and type(value) is int):
+        return value
+    raise LienardError(f"config key {field.name!r} must be {kind.__name__}"
+                       f"{' or null' if nullable else ''}, got {value!r}")
+
+
 def load_config(args):
     """Merge flags over config-file values over defaults into a RunConfig."""
-    from_file = {}
+    known = {field.name: field for field in fields(RunConfig)}
+    merged = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -317,20 +331,16 @@ def load_config(args):
                 from_file = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise LienardError(f"cannot read config file {config_path}: {exc}")
-        unknown = set(from_file) - set(DEFAULTS)
-        if unknown:
+        if not isinstance(from_file, dict):
+            raise LienardError(f"config file {config_path} must hold a JSON object")
+        if unknown := set(from_file) - set(known):
             raise LienardError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-    merged = {}
-    for key, fallback in DEFAULTS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in from_file:
-            merged[key] = from_file[key]
-        else:
-            merged[key] = fallback
-    return RunConfig(command=args.command, options=merged)
+        merged = {key: _checked(known[key], value)
+                  for key, value in from_file.items()}
+    merged.update((name, getattr(args, name)) for name in known
+                  if getattr(args, name, None) is not None)
+    return RunConfig(**merged)
 
 
 def main(argv=None):

@@ -22,7 +22,9 @@ the analytic harmonic-oscillator branch instead.
 import math
 from dataclasses import dataclass
 
-from .errors import ConstraintViolationError
+import numpy as np
+
+from .errors import ConstraintViolationError, DomainError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -87,6 +89,17 @@ def momentum_domain(phys):
     if not phys.is_deformed:
         return math.inf
     return 3.0 * phys.omega ** 2 / phys.k
+
+
+def deformation_factor(phys, p):
+    """The factor 1 - q = 1 - k p / (3 omega^2) in m(p), V, W and V_+-.
+
+    Raises DomainError when any p lies at or beyond momentum_domain(phys).
+    """
+    p_max = momentum_domain(phys)
+    if np.any(np.asarray(p) >= p_max):
+        raise DomainError(f"momentum at or beyond the domain bound {p_max}")
+    return 1.0 - phys.k * np.asarray(p, dtype=float) / (3.0 * phys.omega ** 2)
 
 
 def derive_params(phys, amb):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-from .params import momentum_domain
+from .params import deformation_factor, momentum_domain
 
 
 @dataclass(frozen=True)
@@ -90,31 +90,22 @@ class SampledFunction:
         self.values.flags.writeable = False
 
 
-def _check_domain(phys, p):
-    p_max = momentum_domain(phys)
-    if np.any(np.asarray(p) >= p_max):
-        raise DomainError(f"momentum at or beyond the domain bound {p_max}")
-
-
 def mass(phys, p):
     """MassProfile at p (scalar or array): m, m', m'' in closed form."""
-    _check_domain(phys, p)
-    p = np.asarray(p, dtype=float)
+    u = deformation_factor(phys, p)
     w2 = phys.omega ** 2
-    u = 1.0 - phys.k * p / (3.0 * w2)
     m = 1.0 / (w2 * u)
     m_p = phys.k / (3.0 * w2 ** 2) * u ** -2
     m_pp = 2.0 * phys.k ** 2 / (9.0 * w2 ** 3) * u ** -3
-    if p.ndim:
+    if u.ndim:
         return MassProfile(m=m, m_prime=m_p, m_double_prime=m_pp)
     return MassProfile(m=float(m), m_prime=float(m_p), m_double_prime=float(m_pp))
 
 
 def potential_U(phys, p):
     """Classical potential term U(p) = p^2 / (2 (1 - q))."""
-    _check_domain(phys, p)
+    u = deformation_factor(phys, p)
     p = np.asarray(p, dtype=float)
-    u = 1.0 - phys.k * p / (3.0 * phys.omega ** 2)
     out = p ** 2 / (2.0 * u)
     return out if out.ndim else float(out)
 
@@ -134,9 +125,8 @@ def effective_potential(phys, amb, p):
     Must agree with von_roos_potential composed with mass/potential_U to
     rounding; consumes the ambiguity parameters only through their product.
     """
-    _check_domain(phys, p)
+    u = deformation_factor(phys, p)
     p = np.asarray(p, dtype=float)
-    u = 1.0 - phys.k * p / (3.0 * phys.omega ** 2)
     shift_sq = amb.product * (phys.hbar * phys.k / (3.0 * phys.omega)) ** 2
     out = (p ** 2 + shift_sq) / (2.0 * u)
     return out if out.ndim else float(out)
@@ -159,8 +149,7 @@ def apply_hamiltonian_fd(phys, amb, grid, samples, end_tol=1e-8):
             "samples do not vanish at the grid ends; enlarge the window")
     p = grid.points
     h = grid.spacing
-    w2 = phys.omega ** 2
-    coeff = 1.0 - phys.k * (p[:-1] + 0.5 * h) / (3.0 * w2)  # midpoints
+    coeff = deformation_factor(phys, p[:-1] + 0.5 * h)  # midpoints
     flux = coeff * (v[1:] - v[:-1])  # (1 - q_{i+1/2})(v_{i+1} - v_i)
     kinetic = -(phys.hbar * phys.omega) ** 2 / 2.0 * (flux[1:] - flux[:-1]) / h ** 2
     pot = effective_potential(phys, amb, p[1:-1]) * v[1:-1]

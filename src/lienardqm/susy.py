@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolationError, DomainError, GridMismatchError
-from .params import SQRT2, derive_params, momentum_domain
-from .quantize import SampledFunction
+from .errors import ConstraintViolationError, GridMismatchError
+from .params import SQRT2, deformation_factor, derive_params
+from .quantize import SampledFunction, effective_potential, mass
 
 
 @dataclass(frozen=True)
@@ -73,36 +73,27 @@ def partner_shift(phys):
     return phys.hbar * phys.k / (6.0 * SQRT2 * phys.omega)
 
 
-def _check_domain(phys, p):
-    if np.any(np.asarray(p) >= momentum_domain(phys)):
-        raise DomainError(
-            f"momentum at or beyond the domain bound {momentum_domain(phys)}")
-
-
 def superpotential_eval(sp, p):
     """W(p) on the open momentum domain (scalar or array)."""
     phys = sp.phys
-    _check_domain(phys, p)
+    u = deformation_factor(phys, p)
     p = np.asarray(p, dtype=float)
-    u = 1.0 - phys.k * p / (3.0 * phys.omega ** 2)
     out = (sp.a_coef * p + sp.b_coef) / np.sqrt(u)
     return out if out.ndim else float(out)
 
 
 def partner_minus(phys, a_coef, b_coef, p):
     """V_- in compact form for arbitrary (a, b)."""
-    _check_domain(phys, p)
+    u = deformation_factor(phys, p)
     p = np.asarray(p, dtype=float)
-    u = 1.0 - phys.k * p / (3.0 * phys.omega ** 2)
     out = (a_coef * p + b_coef) ** 2 / u - phys.hbar_omega * a_coef / SQRT2
     return out if out.ndim else float(out)
 
 
 def partner_plus(phys, a_coef, b_coef, p):
     """V_+ in compact form for arbitrary (a, b)."""
-    _check_domain(phys, p)
+    u = deformation_factor(phys, p)
     p = np.asarray(p, dtype=float)
-    u = 1.0 - phys.k * p / (3.0 * phys.omega ** 2)
     out = ((a_coef * p + b_coef + partner_shift(phys)) ** 2 / u
            + phys.hbar_omega * a_coef / SQRT2)
     return out if out.ndim else float(out)
@@ -121,18 +112,16 @@ def partner_potentials_from_definitions(phys, derived, p):
     W', m', m'' combination; all derivatives are analytic closed forms.
     Serves as the independent route against the compact forms.
     """
-    _check_domain(phys, p)
+    u = deformation_factor(phys, p)
     p = np.asarray(p, dtype=float)
     a, b = derived.a_coef, derived.b_coef
     w2 = phys.omega ** 2
-    u = 1.0 - phys.k * p / (3.0 * w2)
     w = (a * p + b) / np.sqrt(u)
     # (W / sqrt m)' = d/dp [omega (a p + b)] = omega a
     v_minus = w ** 2 - phys.hbar / SQRT2 * phys.omega * a
     w_prime = a / np.sqrt(u) + (a * p + b) * phys.k / (6.0 * w2) * u ** -1.5
-    m = 1.0 / (w2 * u)
-    m_p = phys.k / (3.0 * w2 ** 2) * u ** -2
-    m_pp = 2.0 * phys.k ** 2 / (9.0 * w2 ** 3) * u ** -3
+    prof = mass(phys, p)
+    m, m_p, m_pp = prof.m, prof.m_prime, prof.m_double_prime
     v_plus = (w ** 2
               + phys.hbar / SQRT2 * (w_prime / np.sqrt(m) + w * m_p / (2.0 * m ** 1.5))
               - phys.hbar ** 2 / 2.0 * (0.75 * m_p ** 2 / m ** 3 - 0.5 * m_pp / m ** 2))
@@ -159,11 +148,9 @@ def riccati_residual(phys, amb, grid, b_offset=0.0):
     """
     derived = derive_params(phys, amb)
     p = _points(grid)
-    _check_domain(phys, p)
-    u = 1.0 - phys.k * p / (3.0 * phys.omega ** 2)
+    u = deformation_factor(phys, p)
     w = (derived.a_coef * p + derived.b_coef + b_offset) / np.sqrt(u)
-    shift_sq = amb.product * (phys.hbar * phys.k / (3.0 * phys.omega)) ** 2
-    v_eff = (p ** 2 + shift_sq) / (2.0 * u)
+    v_eff = effective_potential(phys, amb, p)
     e0 = ground_state_energy(phys, derived)
     resid = w ** 2 - phys.hbar / SQRT2 * phys.omega * derived.a_coef - v_eff + e0
     return float(np.max(np.abs(resid)))
@@ -206,7 +193,7 @@ def spectrum(phys, amb, n_max):
     """Energies e_n = (n + 1/2 + shift) hbar omega for n = 0..n_max.
 
     The affine form is cross-checked against the ladder construction
-    e_n = e_0 + sum of the n constant remainders before being returned;
+    e_n = e_0 + sum of the n constant remainders, to 1e-14 of max |e_n|;
     on the harmonic branch (k = 0) the shift vanishes identically.
     """
     if n_max < 0:
@@ -223,14 +210,14 @@ def spectrum(phys, amb, n_max):
     energies = (n + 0.5 + shift) * phys.hbar_omega
     ladder = (0.5 + shift) * phys.hbar_omega + n * remainder
     defect = float(np.max(np.abs(energies - ladder)))
-    if defect > 1e-14 * max(1.0, float(energies[-1])):
+    if defect > 1e-14 * max(1.0, float(np.max(np.abs(energies)))):
         raise ConstraintViolationError(
             f"algebraic/ladder spectrum mismatch: {defect}")
     return SpectrumTable(phys=phys, amb=amb, derived=derived, energies=energies)
 
 
 def _inv_sqrt_mass(phys, p):
-    return phys.omega * np.sqrt(1.0 - phys.k * p / (3.0 * phys.omega ** 2))
+    return phys.omega * np.sqrt(deformation_factor(phys, p))
 
 
 def apply_lowering(sp, samples):
@@ -280,9 +267,8 @@ def ground_state_exponent(sp):
 def ground_state_closed_form(sp, p):
     """Unnormalized ground state (1-q)^E exp(3 sqrt 2 omega a p / (hbar k))."""
     phys = sp.phys
-    _check_domain(phys, p)
+    u = deformation_factor(phys, p)
     p = np.asarray(p, dtype=float)
-    u = 1.0 - phys.k * p / (3.0 * phys.omega ** 2)
     exponent = ground_state_exponent(sp)
     out = u ** exponent * np.exp(
         3.0 * SQRT2 * phys.omega * sp.a_coef / (phys.hbar * phys.k) * p)

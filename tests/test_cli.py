@@ -56,10 +56,23 @@ def test_wavefn_csv_schema(tmp_path):
     assert len(lines) == 302
 
 
-def test_byte_identical_reruns(tmp_path):
-    args = ["spectrum", "--omega", "1.7", "--k", "0.3", "--alpha", "2",
-            "--gamma", "3", "--n-max", "4"]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+RERUN_CASES = {
+    "spectrum": "spectrum --omega 1.7 --k 0.3 --alpha 2 --gamma 3 --n-max 4",
+    "classical": "classical --omega 1.05 --k 0.9 --amplitude 0.8 --step 0.01",
+    "classical-k0": "classical --omega 1.05 --k 0 --amplitude 0.8 --step 0.01",
+    "limit": "limit --k 1 --n-max 1 --k-sequence 0.1,0.01 --a-values 1e2,1e4",
+    "limit-k0": "limit --k 0 --n-max 1 --k-sequence 0.1,0.01 --a-values 1e2,1e4",
+    "wavefn": "wavefn --alpha 19 --gamma 1 --level 2 --samples 301",
+    "wavefn-k0": "wavefn --k 0 --level 2 --samples 301",
+    "sweep": "sweep --omega-values 2,1 --k-values 1,0.5 --alpha 19 --gamma 1",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(RERUN_CASES))
+def test_byte_identical_reruns(tmp_path, case, fmt):
+    args = RERUN_CASES[case].split() + ["--format", fmt]
+    out1, out2 = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     assert _read(out1) == _read(out2)
@@ -99,6 +112,29 @@ def test_config_file_unknown_key_rejected(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"omegaa": 2.0}))
     assert main(["spectrum", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("payload, code, named", [
+    ({"omega": "1"}, 2, "'omega'"),
+    ({"omega": True}, 2, "'omega'"),
+    ({"n_max": True}, 2, "'n_max'"),
+    ({"n_max": 2.0}, 2, "'n_max'"),
+    ({"alpha": None}, 2, "'alpha'"),
+    ({"format": 1}, 2, "'format'"),
+    (["omega"], 2, "JSON object"),
+    ({"omega": 2, "n_max": 1, "y_max": None, "output": None}, 0, None),
+], ids=["str-for-float", "bool-for-float", "bool-for-int", "float-for-int",
+        "null-for-float", "int-for-str", "not-an-object", "accepted"])
+def test_config_file_value_types(tmp_path, capsys, payload, code, named):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "o.csv"
+    assert main(["spectrum", "--config", str(config), "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    if named:
+        assert named in err
+    else:
+        assert err == "" and len(_read(out).splitlines()) == 3
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -173,6 +173,19 @@ def test_spectrum_bitwise_in_product():
     np.testing.assert_array_equal(t1.energies, t2.energies)
 
 
+def test_spectrum_all_negative_levels_accepted():
+    # alpha*gamma near -a_script^2 puts every level below zero; the ladder
+    # cross-check must scale its tolerance by the largest |e_n|, not e_nmax.
+    phys = PhysicalParams(omega=1.7357, k=0.428444, hbar=1.64418)
+    amb = AmbiguityParams(alpha=0.531662, gamma=-21332.1)
+    table = spectrum(phys, amb, 41)
+    d = derive_params(phys, amb)
+    n = np.arange(42)
+    assert np.all(table.energies < 0.0)
+    expected = (n + 0.5 + (d.lam - d.a_script)) * (phys.hbar * phys.omega)
+    np.testing.assert_array_equal(table.energies, expected)
+
+
 # ------------------------------------------------------------- ladder action
 
 def _sampled_state(phys, amb, n, h=1e-3):

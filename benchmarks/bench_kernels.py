@@ -5,8 +5,10 @@ Times the two sequential hot loops on workloads matching real use:
   - Sturm sign counts on the spectral operator's tridiagonal matrix
     (the inner loop of every eigenvalue bisection step), and
   - fixed-step RK4 integration of the oscillator over one period.
+The C column appears when the extension was built
+(python setup.py build_ext --inplace).
 
-Run:  python benchmarks/bench_kernels.py
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import time
@@ -14,7 +16,7 @@ import time
 import numpy as np
 
 from lienardqm.eigensolver import YGrid, build_operator, lowest_eigenvalues
-from lienardqm.kernels import available_backends, get_backend
+from lienardqm.kernels import BACKEND, pykernels
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
 
 PHYS = PhysicalParams(omega=1.0, k=1.0)
@@ -50,7 +52,12 @@ def bench_pipeline(n_points, repeats=3):
 
 
 def main():
-    backends = {name: get_backend(name) for name in available_backends()}
+    backends = {"python": pykernels}
+    try:
+        from lienardqm.kernels import _ckernels
+        backends["c"] = _ckernels
+    except ImportError:
+        pass
     print(f"backends available: {', '.join(backends)}")
     print()
     print(f"{'kernel':<28} {'size':>8}" + "".join(
@@ -63,13 +70,13 @@ def main():
     ]
     for label, size, fn in rows:
         times = {name: fn(backend, size) for name, backend in backends.items()}
-        speed = (f"{times['python'] / times['cython']:.1f}x"
+        speed = (f"{times['python'] / times['c']:.1f}x"
                  if len(times) == 2 else "-")
         print(f"{label:<28} {size:>8}" + "".join(
             f" {1e3 * times[name]:>14.3f}" for name in backends) + f"  {speed}")
     print()
     active = bench_pipeline(6000)
-    print(f"lowest_eigenvalues(count=4, N=6000) with active backend: "
+    print(f"lowest_eigenvalues(count=4, N=6000) with the {BACKEND} backend: "
           f"{1e3 * active:.1f} ms")
 
 

@@ -1,57 +1,16 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional C kernel extension.
 
-The extension is a performance add-on; if Cython or a C compiler is
-unavailable the install completes anyway and the package falls back to the
-pure-Python kernels at import time. Set LIENARDQM_NO_EXT=1 to skip the
-extension build entirely.
+The extension only speeds up the two hot loops. When it cannot be compiled
+the install still completes (optional=True) and the package uses the
+pure-Python twins. -ffp-contract=off (no fused multiply-add) keeps the
+compiled results bit-identical to those twins.
 """
 
-import os
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class optional_build_ext(build_ext):
-    """build_ext that downgrades compilation failures to a warning."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing or broken
-            self._skip(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._skip(exc)
-
-    @staticmethod
-    def _skip(exc):
-        print(f"warning: kernel extension build failed ({exc}); "
-              "falling back to pure-Python kernels")
-
-
-def extensions():
-    if os.environ.get("LIENARDQM_NO_EXT"):
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("warning: Cython not available; building without the kernel extension")
-        return []
-    # -ffp-contract=off keeps the compiled kernels bit-identical to the
-    # pure-Python twins (no FMA contraction).
-    ext = Extension(
-        "lienardqm.kernels._ckernels",
-        ["src/lienardqm/kernels/_ckernels.pyx"],
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
-setup(
-    ext_modules=extensions(),
-    cmdclass={"build_ext": optional_build_ext},
-)
+setup(ext_modules=[Extension(
+    "lienardqm.kernels._ckernels",
+    ["src/lienardqm/kernels/_ckernels.c"],
+    extra_compile_args=["-O3", "-ffp-contract=off"],
+    optional=True,
+)])

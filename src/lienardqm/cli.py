@@ -54,6 +54,13 @@ class RunConfig:
     output: str | None = None
     format: str = "csv"
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise LienardError(f"option {field.name!r} must be finite, "
+                                   f"got {value}")
+
     def phys(self):
         return PhysicalParams(omega=self.omega, k=self.k, hbar=self.hbar)
 
@@ -106,8 +113,13 @@ def _out_path(config, name):
     return os.path.join(outdir, f"{name}.{config.format}")
 
 
-def _parse_floats(text):
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+def _parse_floats(text, key):
+    """The comma-separated numbers of option `key`, each required finite."""
+    values = tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    if not all(map(math.isfinite, values)):
+        raise LienardError(f"option {key!r} must hold finite numbers, "
+                           f"got {text!r}")
+    return values
 
 
 def cmd_classical(config):
@@ -185,12 +197,12 @@ def cmd_verify(config):
 def cmd_limit(config):
     phys = config.phys()
     rows = []
-    k_seq = _parse_floats(config.k_sequence)
+    k_seq = _parse_floats(config.k_sequence, "k_sequence")
     base = PhysicalParams(omega=phys.omega, k=0.0, hbar=phys.hbar)
     for n in range(min(config.n_max, 3) + 1):
         for k, dev in wavefn.limit_deviation(n, k_seq, base):
             rows.append(("wavefn-deviation", n, k, dev))
-    a_values = _parse_floats(config.a_values)
+    a_values = _parse_floats(config.a_values, "a_values")
     for n in range(min(config.n_max, 5) + 1):
         for a, _, _, dev in wavefn.laguerre_hermite_limit(n, 1.0, a_values):
             rows.append(("laguerre-hermite", n, a, dev))
@@ -214,11 +226,11 @@ def _sweep_point(args):
 
 
 def cmd_sweep(config):
-    axes = [_parse_floats(values) if values else (single,)
-            for values, single in ((config.omega_values, config.omega),
-                                   (config.k_values, config.k),
-                                   (config.alpha_values, config.alpha),
-                                   (config.gamma_values, config.gamma))]
+    axes = []
+    for name in ("omega", "k", "alpha", "gamma"):
+        values = getattr(config, f"{name}_values")
+        axes.append(_parse_floats(values, f"{name}_values") if values
+                    else (getattr(config, name),))
     points = itertools.product(*axes, (config.hbar,))
     rows = sorted(map(_sweep_point, points),
                   key=lambda r: r[:4])  # axes may come unsorted

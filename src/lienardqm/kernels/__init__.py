@@ -1,50 +1,11 @@
-"""Kernel backend selection.
+"""Kernel backend: the compiled extension when it was built, else the
+pure-Python twin, which gives bit-identical results (see pykernels)."""
 
-The compiled extension is preferred when present; the pure-Python twin is
-the fallback. LIENARDQM_BACKEND=python|cython forces a choice (requesting
-cython without the built extension raises at import).
-"""
-
-import os
-
-from . import pykernels as _py
-
-_requested = os.environ.get("LIENARDQM_BACKEND", "").strip().lower()
-
-if _requested == "python":
-    _impl = _py
-elif _requested == "cython":
+try:
     from . import _ckernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl
-    except ImportError:
-        _impl = _py
+except ImportError:
+    from . import pykernels as _impl
 
 BACKEND = _impl.BACKEND_NAME
 sturm_count = _impl.sturm_count
 rk4_lienard = _impl.rk4_lienard
-
-
-def get_backend(name):
-    """Return a specific kernel module by name ('python' or 'cython').
-
-    Used by the benchmark and the backend-equivalence tests; raises
-    ImportError when the compiled backend was not built.
-    """
-    if name == "python":
-        return _py
-    if name == "cython":
-        from . import _ckernels
-        return _ckernels
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def available_backends():
-    names = ["python"]
-    try:
-        get_backend("cython")
-        names.append("cython")
-    except ImportError:
-        pass
-    return names

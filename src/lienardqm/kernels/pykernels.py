@@ -1,8 +1,9 @@
 """Pure-Python kernels.
 
 Reference implementations of the two sequential hot loops. The compiled
-twin in _ckernels.pyx performs the same arithmetic in the same order, so
-both backends produce identical floating-point results.
+twin in _ckernels.c performs the same arithmetic in the same order, so
+both backends produce identical floating-point results and raise the same
+OverflowError when x ** 3 overflows.
 """
 
 import numpy as np

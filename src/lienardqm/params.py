@@ -20,13 +20,21 @@ the analytic harmonic-oscillator branch instead.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConstraintViolationError, DomainError
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _require_finite(params):
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise ConstraintViolationError(
+                f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,7 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.omega > 0.0:
             raise ConstraintViolationError(f"omega must be > 0, got {self.omega}")
         if not self.hbar > 0.0:
@@ -56,7 +65,7 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class AmbiguityParams:
-    """Ordering exponents alpha and gamma (both real, stored separately).
+    """Ordering exponents alpha and gamma (finite reals, stored separately).
 
     Only the product alpha*gamma enters any physical result; keeping the
     factors separate supports reporting, and the equality of physics across
@@ -66,6 +75,9 @@ class AmbiguityParams:
 
     alpha: float
     gamma: float
+
+    def __post_init__(self):
+        _require_finite(self)
 
     @property
     def product(self):

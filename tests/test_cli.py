@@ -137,6 +137,32 @@ def test_config_file_value_types(tmp_path, capsys, payload, code, named):
         assert err == "" and len(_read(out).splitlines()) == 3
 
 
+@pytest.mark.parametrize("argv, config, named", [
+    ("spectrum --k nan", None, "'k'"),
+    ("spectrum --alpha nan", None, "'alpha'"),
+    ("classical --amplitude nan", None, "'amplitude'"),
+    ("classical --phase inf", None, "'phase'"),
+    ("classical --t-end inf", None, "'t_end'"),
+    ("sweep --k-values nan,1", None, "'k_values'"),
+    ("limit --a-values 1e2,inf", None, "'a_values'"),
+    ("spectrum", '{"omega": NaN}', "'omega'"),
+    ("verify", '{"y_max": -Infinity}', "'y_max'"),
+], ids=["spectrum-k", "spectrum-alpha", "classical-amplitude",
+        "classical-phase", "classical-t-end", "sweep-k-values",
+        "limit-a-values", "config-nan", "config-infinity"])
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
+    # main returning (not raising) is the no-traceback half of the contract
+    args = argv.split()
+    if config:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        args += ["--config", str(path)]
+    out = tmp_path / "o.csv"
+    assert main(args + ["--output", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LIENARDQM_OUTDIR", str(tmp_path))
     code = main(["spectrum", "--omega", "1", "--k", "1", "--alpha", "0",

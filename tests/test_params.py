@@ -15,6 +15,15 @@ def test_physical_params_validation():
         PhysicalParams(omega=1.0, k=-0.5)
     with pytest.raises(ConstraintViolationError):
         PhysicalParams(omega=1.0, k=1.0, hbar=0.0)
+    # non-finite values: nan passes every order comparison, inf the signs
+    for bad in ({"omega": math.inf, "k": 1.0}, {"omega": 1.0, "k": math.nan},
+                {"omega": 1.0, "k": math.inf},
+                {"omega": 1.0, "k": 1.0, "hbar": math.inf}):
+        with pytest.raises(ConstraintViolationError, match="must be finite"):
+            PhysicalParams(**bad)
+    for alpha, gamma in ((math.nan, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ConstraintViolationError, match="must be finite"):
+            AmbiguityParams(alpha=alpha, gamma=gamma)
 
 
 def test_derive_zero_product_forces_zero_shift():

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import AmplitudeRangeError, ConstraintViolationError, DomainError
+from .errors import (AmplitudeRangeError, ConstraintViolationError,
+                     DomainError, LienardError)
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,21 @@ def integrate_lienard(phys, initial, t_end, step):
 
     Global error is O(step^4). Every sample is checked against the phase
     constraint; a violation raises rather than silently leaving the region
-    where the Lagrangian picture holds.
+    where the Lagrangian picture holds. A step so far beyond stability that
+    the kernel overflows raises LienardError naming the step.
     """
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step}")
     if t_end <= 0.0:
         raise ValueError(f"t_end must be > 0, got {t_end}")
     n_steps = max(1, round(t_end / step))
-    xs, vs = kernels.rk4_lienard(phys.k, phys.omega, initial.x, initial.v,
-                                 step, n_steps)
+    try:
+        xs, vs = kernels.rk4_lienard(phys.k, phys.omega, initial.x,
+                                     initial.v, step, n_steps)
+    except OverflowError as exc:
+        raise LienardError(
+            f"RK4 step {step} is unstable: the trajectory left the float "
+            f"range before t_end = {t_end}; use a smaller step") from exc
     times = step * np.arange(n_steps + 1)
     s = phase_constraint_value(phys, xs, vs)
     if np.any(s <= 0.0):

@@ -198,11 +198,14 @@ def cmd_limit(config):
     phys = config.phys()
     rows = []
     k_seq = _parse_floats(config.k_sequence, "k_sequence")
+    a_values = _parse_floats(config.a_values, "a_values")
+    if not all(a > 0.0 for a in a_values):
+        raise LienardError(f"option 'a_values' must hold numbers > 0, "
+                           f"got {config.a_values!r}")
     base = PhysicalParams(omega=phys.omega, k=0.0, hbar=phys.hbar)
     for n in range(min(config.n_max, 3) + 1):
         for k, dev in wavefn.limit_deviation(n, k_seq, base):
             rows.append(("wavefn-deviation", n, k, dev))
-    a_values = _parse_floats(config.a_values, "a_values")
     for n in range(min(config.n_max, 5) + 1):
         for a, _, _, dev in wavefn.laguerre_hermite_limit(n, 1.0, a_values):
             rows.append(("laguerre-hermite", n, a, dev))

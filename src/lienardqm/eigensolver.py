@@ -17,6 +17,7 @@ lowest eigenvalues are extracted by Sturm-count bisection and compared with
 the algebraic levels (n + 1/2 + lam - a_script) hbar omega.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,10 +115,20 @@ def lowest_eigenvalues(op, count):
     Bisection on the Sturm count is deterministic and needs no dense
     factorization; brackets start from the Gershgorin bounds and reuse the
     previously located eigenvalue as the lower end.
+
+    Every count taken serves all wanted levels, as in LAPACK xSTEBZ:
+    below[j] is the largest shift seen with at most j eigenvalues under it
+    and above[j] the smallest with more than j. A midpoint of level k at or
+    beyond either is decided without a sweep. The computed Sturm count is
+    monotone in the shift (Demmel, Dhillon and Ren 1995), so the decision
+    is the one a sweep would give: every level visits the same midpoints
+    and returns the same bits as a plain bisection, with fewer sweeps.
     """
     if not 1 <= count <= 10:
         raise ValueError(f"count must be in 1..10, got {count}")
     lo_all, hi_all = op.gershgorin()
+    below = [-math.inf] * count
+    above = [math.inf] * count
     out = np.empty(count)
     lo_start = lo_all
     for k in range(count):
@@ -130,7 +141,14 @@ def lowest_eigenvalues(op, count):
                     f"bisection for eigenvalue {k} did not reach "
                     f"{BISECTION_TOL} in {_MAX_BISECTIONS} iterations")
             mid = 0.5 * (lo + hi)
-            if op.count_below(mid) >= k + 1:
+            if below[k] < mid < above[k]:
+                n_below = op.count_below(mid)
+                for j in range(count):
+                    if n_below > j:
+                        above[j] = min(above[j], mid)
+                    else:
+                        below[j] = max(below[j], mid)
+            if mid >= above[k]:
                 hi = mid
             else:
                 lo = mid

@@ -22,20 +22,26 @@ def sturm_count(diag, off, shift):
     the count of negative pivots equals the count of eigenvalues < shift.
     A pivot that lands exactly on zero is nudged negative, so exact ties
     count as below (the usual pivmin convention; bisection is unaffected).
+
+    a_i - shift and b_i * b_i are formed once, elementwise in numpy (the
+    same IEEE operations as in the loop), so the loop does one subtraction
+    and one division per row over plain Python floats.
     """
-    d = memoryview(np.ascontiguousarray(diag, dtype=np.float64))
-    e = memoryview(np.ascontiguousarray(off, dtype=np.float64))
-    n = len(d)
-    count = 0
+    a = (np.asarray(diag, dtype=np.float64) - float(shift)).tolist()
+    e = np.asarray(off, dtype=np.float64)
+    # row 0 has no b_{-1}: with b = 0 and q = 1 its pivot is a_0 - 0/1 = a_0
+    b = [0.0] + (e * e).tolist()
+    if len(b) < len(a):
+        raise IndexError("off-diagonal shorter than diagonal - 1")
+    floor = -_PIVOT_FLOOR
     q = 1.0
-    for i in range(n):
-        if i == 0:
-            q = d[0] - shift
-        else:
-            q = (d[i] - shift) - e[i - 1] * e[i - 1] / q
-        if q == 0.0:
-            q = -_PIVOT_FLOOR
+    count = 0
+    for a_i, b_prev in zip(a, b):
+        q = a_i - b_prev / q
         if q < 0.0:
+            count += 1
+        elif q == 0.0:
+            q = floor
             count += 1
     return count
 

@@ -117,6 +117,9 @@ def deformation_factor(phys, p):
 def derive_params(phys, amb):
     """Build DerivedParams; requires k > 0 and alpha*gamma > -a_script^2.
 
+    a_script and lam must also come out finite and > 0 in floating point;
+    extreme omega, k or hbar that overflow or underflow them are rejected.
+
     The admissibility bound is strict: at alpha*gamma = -a_script^2 the
     exponent lam vanishes and the ground state no longer vanishes at the
     momentum bound, so the boundary case is rejected together with the
@@ -125,13 +128,24 @@ def derive_params(phys, amb):
     if not phys.is_deformed:
         raise ConstraintViolationError(
             "k = 0 has no deformed parameter set; use the harmonic-limit branch")
-    a_script = 9.0 * phys.omega ** 3 / (phys.hbar * phys.k ** 2)
+    try:
+        a_script = 9.0 * phys.omega ** 3 / (phys.hbar * phys.k ** 2)
+        a_script_sq = a_script ** 2
+    except (OverflowError, ZeroDivisionError):
+        # a power beyond the float range, or hbar k^2 underflowing to 0
+        a_script = a_script_sq = math.inf
     product = amb.product
-    if product <= -(a_script ** 2):
+    if not (0.0 < a_script < math.inf and a_script_sq + product < math.inf):
+        raise ConstraintViolationError(
+            f"omega = {phys.omega}, k = {phys.k}, hbar = {phys.hbar} and "
+            f"alpha*gamma = {product} put a_script = 9 omega^3/(hbar k^2) or "
+            f"lam = sqrt(a_script^2 + alpha*gamma) outside the finite "
+            f"positive floats")
+    if product <= -a_script_sq:
         raise ConstraintViolationError(
             f"ambiguity product alpha*gamma = {product} violates the bound "
-            f"alpha*gamma > {-(a_script ** 2)}")
-    lam = math.sqrt(a_script ** 2 + product)
+            f"alpha*gamma > {-a_script_sq}")
+    lam = math.sqrt(a_script_sq + product)
     shift = lam - a_script
     b_coef = phys.hbar * phys.k / (3.0 * SQRT2 * phys.omega) * shift
     return DerivedParams(

@@ -163,6 +163,23 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    ("spectrum --omega 1e200", "omega = 1e+200"),
+    ("spectrum --omega 1e60", "omega = 1e+60"),
+    ("spectrum --k 1e-200", "k = 1e-200"),
+    ("spectrum --alpha 1e200 --gamma 1e200", "alpha*gamma = inf"),
+    ("classical --step 3 --t-end 300", "step 3.0"),
+    ("limit --a-values -1", "'a_values' must hold numbers > 0"),
+], ids=["omega-cubed-overflows", "a-script-squared-overflows",
+        "k-squared-underflows", "lam-overflows", "unstable-step",
+        "limit-a-values"])
+def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
+    out = tmp_path / "o.csv"
+    assert main(argv.split() + ["--output", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LIENARDQM_OUTDIR", str(tmp_path))
     code = main(["spectrum", "--omega", "1", "--k", "1", "--alpha", "0",

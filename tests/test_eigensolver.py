@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lienardqm.eigensolver import (TridiagonalOperator, YGrid, build_operator,
-                                   default_y_max, eigenvector,
+from lienardqm import kernels
+from lienardqm.eigensolver import (BISECTION_TOL, TridiagonalOperator, YGrid,
+                                   build_operator, default_y_max, eigenvector,
                                    lowest_eigenvalues, sign_changes,
                                    verify_spectrum)
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
@@ -82,6 +83,45 @@ def test_count_validation():
         lowest_eigenvalues(op, 0)
     with pytest.raises(ValueError):
         lowest_eigenvalues(op, 11)
+
+
+def _plain_bisection(op, count):
+    """Reference: the same bisection with one Sturm sweep per midpoint."""
+    lo_all, hi_all = op.gershgorin()
+    out = np.empty(count)
+    lo_start = lo_all
+    for k in range(count):
+        lo, hi = lo_start, hi_all
+        while hi - lo > BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            if op.count_below(mid) >= k + 1:
+                hi = mid
+            else:
+                lo = mid
+        out[k] = 0.5 * (lo + hi)
+        lo_start = out[k] - BISECTION_TOL
+    return out
+
+
+@pytest.mark.parametrize("refined, shared_sweeps, plain_sweeps",
+                         [(False, 122, 162), (True, 124, 168)],
+                         ids=["N8500", "N17001"])
+def test_shared_brackets_bit_identical_with_fewer_sweeps(
+        monkeypatch, refined, shared_sweeps, plain_sweeps):
+    # the operator pair that verify solves at its default parameters
+    derived = derive_params(PHYS, AMB19)
+    grid = YGrid(y_max=default_y_max(derived.lam, 2), n_points=8500)
+    op = build_operator(PHYS, derived, grid.refined() if refined else grid)
+    sweeps = []
+    sturm_count = kernels.sturm_count
+    monkeypatch.setattr(kernels, "sturm_count",
+                        lambda *args: sweeps.append(args[2]) or sturm_count(*args))
+    expected = _plain_bisection(op, 3)
+    assert len(sweeps) == plain_sweeps
+    sweeps.clear()
+    values = lowest_eigenvalues(op, 3)
+    assert len(sweeps) == shared_sweeps
+    assert [v.hex() for v in values] == [v.hex() for v in expected]
 
 
 def test_verify_spectrum_against_algebraic_levels():

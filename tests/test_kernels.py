@@ -15,7 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lienardqm.eigensolver import (YGrid, build_operator, default_y_max,
+                                   lowest_eigenvalues)
 from lienardqm.kernels import BACKEND, pykernels
+from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
 
 C_SOURCE = (Path(__file__).resolve().parents[1]
             / "src" / "lienardqm" / "kernels" / "_ckernels.c")
@@ -76,6 +79,16 @@ def test_sturm_count_handles_exact_submatrix_eigenvalue(backends):
         assert backend.sturm_count(diag, off, 100.0) == 3
 
 
+def test_sturm_count_edges(backends):
+    # an empty matrix has no eigenvalues; an off-diagonal too short for the
+    # diagonal is an error, never a silently truncated sweep
+    for backend in backends:
+        assert backend.sturm_count(np.empty(0), np.empty(0), 1.0) == 0
+        assert backend.sturm_count(np.array([0.5]), np.empty(0), 1.0) == 1
+        with pytest.raises(IndexError):
+            backend.sturm_count(np.ones(4), np.ones(2), 1.0)
+
+
 def test_backends_bitwise_identical(c_kernels):
     if c_kernels is None:
         pytest.skip("no C compiler (the sysconfig LDSHARED command) on "
@@ -86,6 +99,19 @@ def test_backends_bitwise_identical(c_kernels):
     off = rng.normal(size=2999)
     for shift in (-20.0, -1.0, 0.0, 2.5, 40.0):
         assert py.sturm_count(diag, off, shift) == c.sturm_count(diag, off, shift)
+    # the N = 8500 operator verify solves at its defaults, at and 1 ulp
+    # either side of its bisected eigenvalues, where pivots come closest to 0
+    phys = PhysicalParams(omega=1.0, k=1.0)
+    derived = derive_params(phys, AmbiguityParams(alpha=19.0, gamma=1.0))
+    op = build_operator(phys, derived,
+                        YGrid(y_max=default_y_max(derived.lam, 2), n_points=8500))
+    values = lowest_eigenvalues(op, 3)
+    shifts = np.concatenate([values, np.nextafter(values, -np.inf),
+                             np.nextafter(values, np.inf), op.gershgorin(),
+                             [0.0, 2.0, 1e3]])
+    for shift in shifts:
+        assert (py.sturm_count(op.diagonal, op.off_diagonal, shift)
+                == c.sturm_count(op.diagonal, op.off_diagonal, shift))
     # (k, omega, x0, v0, step, n_steps): the CLI default orbit, a fine step,
     # a coarse step with strong damping, and the harmonic case
     for args in ((1.0, 1.0, 0.0, 1.5, 1e-3, 6283),

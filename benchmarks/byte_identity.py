@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Record what a fixed list of CLI invocations writes, for diffing commits.
+
+Each invocation runs through `lienardqm.cli.main` from its own directory
+OUTDIR/<case>/ and leaves there its output file, `stdout`, `stderr` and
+`exit_code`. An exception that escapes `main` is recorded as a Python
+process would report it, exit code 1, with only its type and message in
+`stderr`, so the record holds no file paths. Two checkouts are compared
+with one `diff -r`:
+
+Run:  python benchmarks/byte_identity.py OUTDIR
+      (in each checkout, then: diff -r OUTDIR_A OUTDIR_B)
+"""
+
+import contextlib
+import io
+import os
+import sys
+import traceback
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from lienardqm.cli import main  # noqa: E402
+
+CASES = {
+    "verify-default": "verify",
+    "verify-alpha19": "verify --alpha 19 --gamma 1",
+    "verify-offgrid": "verify --omega 0.99 --k 1.01 --alpha 2 --gamma 9.5",
+    "verify-grid6000": "verify --grid-n 6000 --y-max 200",
+    "verify-json": "verify --format json",
+    "spectrum-csv": "spectrum --alpha 19 --gamma 1",
+    "spectrum-json": "spectrum --alpha 19 --gamma 1 --format json",
+    "classical-csv": "classical",
+    "classical-json": "classical --amplitude 1 --step 2e-4 --format json",
+    "wavefn": "wavefn --alpha 19 --gamma 1 --level 2",
+    "wavefn-k0": "wavefn --k 0 --level 3",
+    "limit": "limit",
+    "sweep": "sweep --omega-values 2,1 --k-values 1,0.5 --alpha 19 --gamma 1",
+    "verify-h-p-0": "verify --h-p 0",
+    "verify-k-0": "verify --k 0",
+    "verify-omega-1e50": "verify --omega 1e50",
+    "wavefn-samples-0": "wavefn --samples 0",
+}
+
+
+def run_case(case_dir, argv):
+    """Run one invocation inside case_dir and record its streams and code."""
+    case_dir.mkdir(parents=True)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(case_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # what an uncaught error would print
+                err.write("".join(traceback.format_exception_only(exc)))
+                code = 1
+    finally:
+        os.chdir(cwd)
+    (case_dir / "stdout").write_text(out.getvalue())
+    (case_dir / "stderr").write_text(err.getvalue())
+    (case_dir / "exit_code").write_text(f"{code}\n")
+
+
+def main_cli(argv):
+    if len(argv) != 1:
+        print("usage: byte_identity.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    for name, command in CASES.items():
+        fmt = "json" if "--format json" in command else "csv"
+        run_case(outdir / name, command.split() + ["--output", f"out.{fmt}"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_cli(sys.argv[1:]))

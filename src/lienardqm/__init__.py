@@ -31,6 +31,6 @@ from .susy import (SpectrumTable, Superpotential, apply_lowering,
                    ground_state_energy, partner_potentials, riccati_residual,
                    shape_invariance_remainder, spectrum,
                    superpotential_eval)
-from .wavefn import (Eigenstate, gamma_asymptotic_check,
-                     laguerre_hermite_limit, lho_psi, limit_deviation,
-                     norm_const_log, overlap_matrix, psi, support_window)
+from .wavefn import (gamma_asymptotic_check, laguerre_hermite_limit, lho_psi,
+                     limit_deviation, norm_const_log, overlap_matrix, psi,
+                     support_window)

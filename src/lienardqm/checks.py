@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, eigensolver, quantize, susy, wavefn
+from .errors import ConstraintViolationError
 from .params import (AmbiguityParams, PhysicalParams, derive_params,
                      momentum_domain)
 
@@ -56,6 +57,13 @@ def _classical_checks(phys, amb):
     amplitude = min(1.0, 0.5 * 3.0 * phys.omega / phys.k)
     period = 2.0 * math.pi / phys.omega
     step = 1e-3
+    # RK4 is unstable on the harmonic part beyond omega * step = 2 sqrt 2
+    if phys.omega * step > 2.0 * math.sqrt(2.0):
+        raise ConstraintViolationError(
+            f"omega = {phys.omega} is too large for verify: its one-period "
+            f"span {period:.3g} is under {math.pi / math.sqrt(2.0):.3g} steps "
+            f"of the classical checks' fixed RK4 step {step}, where RK4 is "
+            f"unstable")
     initial = classical.OscillatorState(
         x=classical.analytic_solution(phys, amplitude, 0.0, 0.0),
         v=classical.analytic_velocity(phys, amplitude, 0.0, 0.0))
@@ -65,11 +73,9 @@ def _classical_checks(phys, amb):
         "classical.rk4-vs-closed-form", echo,
         np.max(np.abs(traj.positions - exact)), 0.0, 1e-6))
 
-    momenta = np.array([classical.conjugate_momentum(
-        phys, classical.OscillatorState(x, v))
-        for x, v in zip(traj.positions, traj.velocities)])
-    energy = np.array([classical.hamiltonian_classical(phys, x, p)
-                       for x, p in zip(traj.positions, momenta)])
+    momenta = classical.conjugate_momentum(
+        phys, classical.OscillatorState(traj.positions, traj.velocities))
+    energy = classical.hamiltonian_classical(phys, traj.positions, momenta)
     rows.append(ReportRecord.from_absolute(
         "classical.energy-drift", echo,
         np.max(np.abs(energy - energy[0])) / abs(energy[0]), 0.0, 1e-8))
@@ -94,10 +100,16 @@ def _classical_checks(phys, amb):
     return rows
 
 
+def _momentum_window(phys):
+    """1000 momenta from 8 omega^2/k below the domain bound to 0.96 of it."""
+    p_max = momentum_domain(phys)
+    return np.linspace(p_max - 8.0 * phys.omega ** 2 / phys.k, p_max * 0.96,
+                       1000)
+
+
 def _potential_checks(phys, amb):
     echo = _echo(phys, amb)
-    p_max = momentum_domain(phys)
-    p = np.linspace(p_max - 8.0 * phys.omega ** 2 / phys.k, p_max * 0.96, 1000)
+    p = _momentum_window(phys)
     profile = quantize.mass(phys, p)
     u_val = quantize.potential_U(phys, p)
     generic = quantize.von_roos_potential(profile, u_val, amb, phys.hbar)
@@ -111,8 +123,7 @@ def _potential_checks(phys, amb):
 def _susy_checks(phys, amb):
     echo = _echo(phys, amb)
     rows = []
-    p_max = momentum_domain(phys)
-    grid = np.linspace(p_max - 8.0 * phys.omega ** 2 / phys.k, p_max * 0.96, 1000)
+    grid = _momentum_window(phys)
     products = _product_table(derive_params(phys, amb).a_script, amb.product)
 
     worst = 0.0
@@ -241,7 +252,17 @@ def _wavefn_checks(phys, amb):
 
 
 def run_suite(phys, amb, grid_n=6000, y_max=None, h_p=1e-3):
-    """Run every module's fast invariant checks; returns ReportRecords."""
+    """Run every module's fast invariant checks; returns ReportRecords.
+
+    The checks need the deformed oscillator (k > 0) and a momentum spacing
+    h_p > 0; anything else is rejected before any check runs.
+    """
+    if not phys.is_deformed:
+        raise ConstraintViolationError(
+            "verify needs k > 0, got k = 0; the k = 0 harmonic oscillator "
+            "is served by `spectrum`, `wavefn` and `limit`")
+    if not h_p > 0.0:
+        raise ConstraintViolationError(f"h_p must be > 0, got {h_p}")
     records = []
     records.extend(_classical_checks(phys, amb))
     records.extend(_potential_checks(phys, amb))

@@ -28,11 +28,12 @@ import numpy as np
 from . import kernels
 from .errors import (AmplitudeRangeError, ConstraintViolationError,
                      DomainError, LienardError)
+from .params import deformation_factor
 
 
 @dataclass(frozen=True)
 class OscillatorState:
-    """Phase-space point (position, velocity)."""
+    """Phase-space point (position, velocity), or equal-shape arrays of them."""
 
     x: float
     v: float
@@ -52,9 +53,6 @@ class Trajectory:
         for arr in (self.times, self.positions, self.velocities):
             arr.flags.writeable = False
 
-    def __len__(self):
-        return len(self.times)
-
 
 def phase_constraint_value(phys, x, v):
     """S(x, v) = 1 + 2 k v / (3 omega^2) + k^2 x^2 / (9 omega^2).
@@ -67,9 +65,12 @@ def phase_constraint_value(phys, x, v):
 
 def _require_constraint(phys, x, v):
     s = phase_constraint_value(phys, x, v)
-    if s <= 0.0:
+    if np.any(s <= 0.0):
+        xs, vs, ss = (np.ravel(a) for a in np.broadcast_arrays(x, v, s))
+        i = int(np.argmax(ss <= 0.0))
         raise ConstraintViolationError(
-            f"phase constraint violated at (x={x}, v={v}): S = {s} <= 0")
+            f"phase constraint violated at (x={xs[i]}, v={vs[i]}): "
+            f"S = {ss[i]} <= 0")
     return s
 
 
@@ -156,23 +157,30 @@ def lagrangian(phys, state):
 
 
 def conjugate_momentum(phys, state):
-    """p = (3 omega^2 / k) [1 - S^{-1/2}]; reduces to v when k = 0."""
+    """p = (3 omega^2 / k) [1 - S^{-1/2}]; reduces to v when k = 0.
+
+    The state may hold arrays; any sample outside the phase constraint
+    raises ConstraintViolationError.
+    """
     x, v = state.x, state.v
     if not phys.is_deformed:
         return v
     s = _require_constraint(phys, x, v)
-    return 3.0 * phys.omega ** 2 / phys.k * (1.0 - 1.0 / math.sqrt(s))
+    out = 3.0 * phys.omega ** 2 / phys.k * (1.0 - 1.0 / np.sqrt(s))
+    return out if out.ndim else float(out)
 
 
 def hamiltonian_classical(phys, x, p):
-    """H = p^2 / (2 (1 - k p / 3 omega^2)) + (1 - k p / 3 omega^2) omega^2 x^2 / 2."""
+    """H = p^2 / (2 u) + u omega^2 x^2 / 2 with u = 1 - k p / (3 omega^2).
+
+    Accepts arrays; u comes from params.deformation_factor, which raises
+    DomainError for any p at or beyond the momentum domain bound.
+    """
     if not phys.is_deformed:
         return 0.5 * (p ** 2 + phys.omega ** 2 * x ** 2)
-    u = 1.0 - phys.k * p / (3.0 * phys.omega ** 2)
-    if u <= 0.0:
-        raise DomainError(
-            f"momentum {p} at or beyond the domain bound {3.0 * phys.omega ** 2 / phys.k}")
-    return p ** 2 / (2.0 * u) + 0.5 * u * phys.omega ** 2 * x ** 2
+    u = deformation_factor(phys, p)
+    out = p ** 2 / (2.0 * u) + 0.5 * u * phys.omega ** 2 * x ** 2
+    return out if out.ndim else float(out)
 
 
 def jlm_sigma_roots(phys):

@@ -156,6 +156,9 @@ def cmd_spectrum(config):
 def cmd_wavefn(config):
     phys = config.phys()
     n = config.level
+    if config.samples < 2:
+        raise LienardError(f"option 'samples' must be >= 2, "
+                           f"got {config.samples}")
     if phys.is_deformed:
         derived = derive_params(phys, config.amb())
         lo, hi = wavefn.support_window(phys, derived, n)

@@ -66,11 +66,10 @@ def default_y_max(lam, n_target):
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Symmetric tridiagonal matrix with its energy scale."""
+    """Symmetric tridiagonal matrix."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    scale: float
 
     def __post_init__(self):
         if len(self.off_diagonal) != len(self.diagonal) - 1:
@@ -106,7 +105,7 @@ def build_operator(phys, derived, grid):
     diag = hw * ((half_lo + half_hi) / h ** 2
                  + derived.lam ** 2 / y + y / 4.0 - derived.a_script)
     off = -hw * half_hi[:-1] / h ** 2
-    return TridiagonalOperator(diagonal=diag, off_diagonal=off, scale=hw)
+    return TridiagonalOperator(diagonal=diag, off_diagonal=off)
 
 
 def lowest_eigenvalues(op, count):
@@ -157,56 +156,6 @@ def lowest_eigenvalues(op, count):
     return out
 
 
-def _solve_shifted(diag, off, mu, rhs):
-    """Solve (T - mu I) x = rhs for symmetric tridiagonal T, with partial
-    pivoting (fill-in limited to a second superdiagonal)."""
-    n = len(diag)
-    a = np.asarray(diag, dtype=float) - mu   # main
-    b = np.empty(n)                          # first super
-    b[:-1] = off
-    b[-1] = 0.0
-    c = np.zeros(n)                          # second super (fill-in)
-    sub = np.asarray(off, dtype=float).copy()
-    x = np.asarray(rhs, dtype=float).copy()
-    for i in range(n - 1):
-        if abs(sub[i]) > abs(a[i]):
-            # swap rows i and i+1
-            a[i], sub[i] = sub[i], a[i]
-            b[i], a[i + 1] = a[i + 1], b[i]
-            if i + 1 < n - 1:
-                c[i], b[i + 1] = b[i + 1], c[i]
-            x[i], x[i + 1] = x[i + 1], x[i]
-        if a[i] == 0.0:
-            a[i] = 1e-300
-        m = sub[i] / a[i]
-        a[i + 1] -= m * b[i]
-        if i + 1 < n - 1:
-            b[i + 1] -= m * c[i]
-        x[i + 1] -= m * x[i]
-    if a[-1] == 0.0:
-        a[-1] = 1e-300
-    x[-1] /= a[-1]
-    x[-2] = (x[-2] - b[-2] * x[-1]) / a[-2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - b[i] * x[i + 1] - c[i] * x[i + 2]) / a[i]
-    return x
-
-
-def eigenvector(op, eigenvalue, sweeps=3):
-    """Unit eigenvector by inverse iteration at a converged eigenvalue.
-
-    Deterministic: starts from the all-ones vector, shifts slightly off the
-    eigenvalue to keep the factorization regular.
-    """
-    mu = eigenvalue + 100.0 * BISECTION_TOL
-    v = np.ones(op.dim)
-    v /= np.linalg.norm(v)
-    for _ in range(sweeps):
-        v = _solve_shifted(op.diagonal, op.off_diagonal, mu, v)
-        v /= np.linalg.norm(v)
-    return v
-
-
 def sign_changes(values, floor=1e-8):
     """Count strict sign alternations, ignoring entries below floor*sup."""
     v = np.asarray(values)
@@ -218,7 +167,6 @@ def sign_changes(values, floor=1e-8):
 class SpectrumComparison:
     """Solver-vs-algebraic comparison on a grid and its refinement."""
 
-    grid: YGrid
     analytic: np.ndarray
     numeric: np.ndarray
     refined_numeric: np.ndarray
@@ -235,11 +183,6 @@ class SpectrumComparison:
     def convergence_ratios(self):
         return self.errors / self.refined_errors
 
-    def rows(self):
-        return [(n, float(a), float(v), float(e))
-                for n, (a, v, e) in enumerate(zip(self.analytic, self.numeric,
-                                                  self.errors))]
-
 
 def verify_spectrum(phys, amb, n_max, grid):
     """Pair solver eigenvalues with the algebraic spectrum for n = 0..n_max.
@@ -254,5 +197,5 @@ def verify_spectrum(phys, amb, n_max, grid):
     numeric = lowest_eigenvalues(op, n_max + 1)
     op_fine = build_operator(phys, table.derived, grid.refined())
     refined = lowest_eigenvalues(op_fine, n_max + 1)
-    return SpectrumComparison(grid=grid, analytic=table.energies,
+    return SpectrumComparison(analytic=table.energies,
                               numeric=numeric, refined_numeric=refined)

@@ -68,18 +68,6 @@ def laguerre_assoc(n, alpha, y):
     return cur if cur.ndim else float(cur)
 
 
-def laguerre_assoc_deriv(n, alpha, y, order=1):
-    """order-th derivative of L_n^alpha at y, via d/dy L_n^a = -L_{n-1}^{a+1}."""
-    if order < 0:
-        raise DomainError(f"derivative order must be >= 0, got {order}")
-    if n - order < 0:
-        y = np.asarray(y, dtype=float)
-        zero = np.zeros_like(y)
-        return zero if zero.ndim else 0.0
-    sign = -1.0 if order % 2 else 1.0
-    return sign * laguerre_assoc(n - order, alpha + order, y)
-
-
 def hermite(n, x):
     """Physicists' Hermite polynomial H_n(x): H_{m+1} = 2x H_m - 2m H_{m-1}."""
     if n < 0:

@@ -171,10 +171,8 @@ def shape_invariance_remainder(phys, derived, grid):
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Bound-state energies e_0..e_n with their defining parameters."""
+    """Bound-state energies e_0..e_n and the derived parameters behind them."""
 
-    phys: object
-    amb: object
     derived: object  # None on the harmonic branch (k = 0)
     energies: np.ndarray
 
@@ -213,7 +211,7 @@ def spectrum(phys, amb, n_max):
     if defect > 1e-14 * max(1.0, float(np.max(np.abs(energies)))):
         raise ConstraintViolationError(
             f"algebraic/ladder spectrum mismatch: {defect}")
-    return SpectrumTable(phys=phys, amb=amb, derived=derived, energies=energies)
+    return SpectrumTable(derived=derived, energies=energies)
 
 
 def _inv_sqrt_mass(phys, p):

@@ -22,7 +22,6 @@ used to take the limit analytically.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +62,9 @@ def jacobian_dp_dy(phys, derived):
 
 
 def norm_const_log(phys, derived, n):
-    """log N_n; pass derived=None (or k = 0) for the harmonic branch."""
+    """log N_n of the deformed state psi_n (k > 0)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if derived is None or not phys.is_deformed:
-        return (-0.25 * math.log(math.pi * phys.hbar_omega)
-                - 0.5 * (n * math.log(2.0) + log_factorial(n)))
     return 0.5 * (0.5 * math.log(derived.a_script / phys.hbar_omega)
                   + math.log(2.0) + log_factorial(n)
                   - log_gamma(2.0 * derived.lam + n + 1.0))
@@ -90,24 +86,6 @@ def psi(phys, derived, n, p):
     exponent = norm_const_log(phys, derived, n) + derived.lam * np.log(y) - 0.5 * y
     out = _guarded_exp(exponent) * laguerre_assoc(n, 2.0 * derived.lam, y)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class Eigenstate:
-    """A bound level bundled with its evaluator."""
-
-    n: int
-    phys: PhysicalParams
-    derived: object
-    log_norm: float
-
-    @classmethod
-    def make(cls, phys, derived, n):
-        return cls(n=n, phys=phys, derived=derived,
-                   log_norm=norm_const_log(phys, derived, n))
-
-    def __call__(self, p):
-        return psi(self.phys, self.derived, self.n, p)
 
 
 def lho_psi(phys, n, p):

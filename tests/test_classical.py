@@ -177,6 +177,29 @@ def test_hamiltonian_values_and_domain():
         hamiltonian_classical(PHYS, 0.0, 4.0)
 
 
+def test_array_calls_match_scalar_calls():
+    traj = integrate_lienard(PHYS, _oracle_initial(PHYS, 1.0),
+                             2.0 * math.pi, 1e-3)
+    x, v = traj.positions, traj.velocities
+    p = conjugate_momentum(PHYS, OscillatorState(x, v))
+    energy = hamiltonian_classical(PHYS, x, p)
+    p_each = np.array([conjugate_momentum(PHYS, OscillatorState(a, b))
+                       for a, b in zip(x, v)])
+    energy_each = np.array([hamiltonian_classical(PHYS, a, b)
+                            for a, b in zip(x, p_each)])
+    assert np.all(np.abs(p - p_each) <= np.spacing(np.abs(p_each)))
+    assert np.all(np.abs(energy - energy_each) <= np.spacing(energy_each))
+
+
+def test_array_calls_reject_any_bad_sample():
+    # (0, -2) has S = -1/3; p = 3 is the momentum bound 3 omega^2 / k
+    with pytest.raises(ConstraintViolationError, match=r"x=0\.0, v=-2\.0"):
+        conjugate_momentum(PHYS, OscillatorState(np.zeros(3),
+                                                 np.array([0.0, -2.0, 0.5])))
+    with pytest.raises(DomainError):
+        hamiltonian_classical(PHYS, np.zeros(3), np.array([0.0, 3.0, 1.0]))
+
+
 def test_legendre_transform_identity():
     rng = np.random.default_rng(11)
     checked = 0

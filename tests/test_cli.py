@@ -170,9 +170,18 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("spectrum --alpha 1e200 --gamma 1e200", "alpha*gamma = inf"),
     ("classical --step 3 --t-end 300", "step 3.0"),
     ("limit --a-values -1", "'a_values' must hold numbers > 0"),
+    ("verify --h-p 0", "h_p must be > 0"),
+    ("verify --h-p -1", "h_p must be > 0"),
+    ("verify --k 0", "`spectrum`, `wavefn` and `limit`"),
+    ("verify --omega 1e50", "omega = 1e+50 is too large for verify: its "
+                            "one-period span 6.28e-50"),
+    ("wavefn --samples 0", "'samples' must be >= 2"),
+    ("wavefn --samples -3", "'samples' must be >= 2"),
 ], ids=["omega-cubed-overflows", "a-script-squared-overflows",
         "k-squared-underflows", "lam-overflows", "unstable-step",
-        "limit-a-values"])
+        "limit-a-values", "verify-h-p-zero", "verify-h-p-negative",
+        "verify-k-zero", "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
+        "wavefn-samples-negative"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     out = tmp_path / "o.csv"
     assert main(argv.split() + ["--output", str(out)]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from lienardqm import kernels
 from lienardqm.eigensolver import (BISECTION_TOL, TridiagonalOperator, YGrid,
-                                   build_operator, default_y_max, eigenvector,
+                                   build_operator, default_y_max,
                                    lowest_eigenvalues, sign_changes,
                                    verify_spectrum)
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
@@ -53,7 +53,7 @@ def test_operator_structure():
 
 def test_two_by_two_diagonal_matrix():
     op = TridiagonalOperator(diagonal=np.array([1.0, 3.0]),
-                             off_diagonal=np.array([0.0]), scale=1.0)
+                             off_diagonal=np.array([0.0]))
     np.testing.assert_allclose(lowest_eigenvalues(op, 2), [1.0, 3.0],
                                atol=1e-9)
 
@@ -63,8 +63,7 @@ def test_dirichlet_laplacian_lowest_eigenvalue():
     n = 1000
     h = 1.0 / (n + 1)
     op = TridiagonalOperator(diagonal=np.full(n, 2.0 / h ** 2),
-                             off_diagonal=np.full(n - 1, -1.0 / h ** 2),
-                             scale=1.0)
+                             off_diagonal=np.full(n - 1, -1.0 / h ** 2))
     lowest = lowest_eigenvalues(op, 1)[0]
     assert abs(lowest - math.pi ** 2) / math.pi ** 2 < 1e-3
 
@@ -78,7 +77,7 @@ def test_sturm_count_between_levels():
 
 def test_count_validation():
     op = TridiagonalOperator(diagonal=np.arange(12.0),
-                             off_diagonal=np.full(11, -0.1), scale=1.0)
+                             off_diagonal=np.full(11, -0.1))
     with pytest.raises(ValueError):
         lowest_eigenvalues(op, 0)
     with pytest.raises(ValueError):
@@ -162,13 +161,13 @@ def test_truncation_insensitivity_at_fixed_spacing():
     assert np.max(np.abs(v_base - v_wide)) < 1e-8
 
 
-def test_eigenvector_node_counts():
-    grid = YGrid(y_max=150.0, n_points=1500)
-    op = build_operator(PHYS, derive_params(PHYS, AMB0), grid)
-    vals = lowest_eigenvalues(op, 4)
-    for n in range(4):
-        vec = eigenvector(op, vals[n])
-        assert sign_changes(vec) == n
+def test_sign_changes_counts_strict_alternations():
+    assert sign_changes([1.0, -2.0, 3.0, 4.0, -5.0]) == 3
+    assert sign_changes([2.0, 0.0, -1.0]) == 1  # a zero is no sign
+    # entries at or below floor * sup drop out: the -1e-9 wiggle is no node
+    assert sign_changes([1.0, -1e-9, 2.0, -1.0]) == 1
+    assert sign_changes([1.0, -1e-9, 2.0, -1.0], floor=1e-10) == 3
+    assert sign_changes([1.0, -2e-8, 2.0, -1.0]) == 1  # 2e-8 is the floor
 
 
 def test_verify_spectrum_validation():

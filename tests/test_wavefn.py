@@ -5,10 +5,9 @@ import pytest
 
 from lienardqm.errors import DomainError, OverflowGuardError
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
-from lienardqm.specfun import quadrature_nodes
-from lienardqm.wavefn import (Eigenstate, gamma_asymptotic_check,
-                              laguerre_hermite_limit, lho_psi,
-                              limit_deviation, norm_const_log, overlap_matrix,
+from lienardqm.specfun import hermite, quadrature_nodes
+from lienardqm.wavefn import (gamma_asymptotic_check, laguerre_hermite_limit,
+                              lho_psi, limit_deviation, overlap_matrix,
                               p_of_y, psi, support_window, y_of_p)
 
 PHYS = PhysicalParams(omega=1.0, k=1.0)
@@ -35,13 +34,19 @@ def test_states_are_normalized_by_quadrature():
         assert norm == pytest.approx(1.0, abs=1e-8)
 
 
-def test_norm_const_log_harmonic_branch():
-    # (pi hbar omega)^(-1/4) (2^n n!)^(-1/2) in log form
-    for n in range(5):
-        expected = math.log((math.pi) ** -0.25
-                            / math.sqrt(2.0 ** n * math.factorial(n)))
-        assert norm_const_log(HARMONIC, None, n) == pytest.approx(
-            expected, rel=1e-14)
+def test_lho_psi_closed_form_constant():
+    # psi_n = (pi hbar omega)^(-1/4) (2^n n!)^(-1/2)
+    #         * exp(-p^2 / 2 hbar omega) H_n(p / sqrt(hbar omega))
+    phys = PhysicalParams(omega=2.0, k=0.0)
+    hw = phys.hbar_omega
+    for p in (0.0, 0.3, -1.7):
+        for n in range(5):
+            constant = ((math.pi * hw) ** -0.25
+                        / math.sqrt(2.0 ** n * math.factorial(n)))
+            expected = (constant * math.exp(-p * p / (2.0 * hw))
+                        * hermite(n, p / math.sqrt(hw)))
+            assert lho_psi(phys, n, p) == pytest.approx(expected, rel=1e-14,
+                                                        abs=1e-300)
 
 
 def test_harmonic_states_normalized():
@@ -92,13 +97,6 @@ def test_variable_change_round_trip():
     p = np.linspace(-20.0, 2.9, 57)
     np.testing.assert_allclose(p_of_y(PHYS, derived, y_of_p(PHYS, derived, p)),
                                p, rtol=1e-12, atol=1e-12)
-
-
-def test_eigenstate_wrapper():
-    derived = derive_params(PHYS, AMB19)
-    state = Eigenstate.make(PHYS, derived, 2)
-    assert state.log_norm == norm_const_log(PHYS, derived, 2)
-    assert state(0.5) == psi(PHYS, derived, 2, 0.5)
 
 
 # ------------------------------------------------------------- orthonormality

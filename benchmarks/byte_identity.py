@@ -29,6 +29,8 @@ CASES = {
     "verify-offgrid": "verify --omega 0.99 --k 1.01 --alpha 2 --gamma 9.5",
     "verify-grid6000": "verify --grid-n 6000 --y-max 200",
     "verify-json": "verify --format json",
+    "verify-grid600": "verify --grid-n 600 --y-max 150",
+    "verify-k0.3": "verify --k 0.3",
     "spectrum-csv": "spectrum --alpha 19 --gamma 1",
     "spectrum-json": "spectrum --alpha 19 --gamma 1 --format json",
     "classical-csv": "classical",

@@ -21,6 +21,12 @@ from .params import (AmbiguityParams, PhysicalParams, derive_params,
 # outside the phase constraint for the given parameters are skipped.
 _STATES = ((0.0, 0.0), (0.3, -0.2), (1.1, 0.4), (-0.7, 0.9), (0.5, 1.7))
 
+_RK4_STEP = 1e-3
+# Size bounds of the operator checks' momentum grid and of the eigensolver
+# grid; they keep a verify run to seconds and a few hundred MB.
+MAX_OPERATOR_POINTS = 10 ** 6
+MAX_GRID_N = 10 ** 6
+
 
 def _product_table(a_script, user_product):
     """Admissible ambiguity products spanning the bound, scaled to a_script."""
@@ -51,23 +57,60 @@ def _echo(phys, amb):
             f"alpha={amb.alpha:g} gamma={amb.gamma:g}")
 
 
+def _check_rk4_step(phys):
+    """RK4 is unstable on the harmonic part beyond omega * step = 2 sqrt 2."""
+    if phys.omega * _RK4_STEP > 2.0 * math.sqrt(2.0):
+        raise ConstraintViolationError(
+            f"omega = {phys.omega} is too large for verify: its one-period "
+            f"span {2.0 * math.pi / phys.omega:.3g} is under "
+            f"{math.pi / math.sqrt(2.0):.3g} steps of the classical checks' "
+            f"fixed RK4 step {_RK4_STEP}, where RK4 is unstable")
+
+
+def _operator_grid(phys, derived, h_p):
+    """The operator checks' momentum grid at spacing h_p over psi_2's window.
+
+    Sized before it is built: h_p must give 16..MAX_OPERATOR_POINTS points.
+    """
+    lo, hi = wavefn.support_window(phys, derived, 2)
+    width = hi - lo
+    if not 15.0 <= width / h_p <= MAX_OPERATOR_POINTS - 1:
+        raise ConstraintViolationError(
+            f"h_p = {h_p} is outside [{width / (MAX_OPERATOR_POINTS - 1):.3g}, "
+            f"{width / 15.0:.3g}], the spacings that give the operator "
+            f"checks 16 to {MAX_OPERATOR_POINTS} points over their momentum "
+            f"window of width {width:.6g}")
+    return quantize.MomentumGrid.with_spacing(phys, lo, hi, h_p)
+
+
+def _eigensolver_grid(derived, grid_n, y_max):
+    """The eigensolver checks' y grid, with MIN_POINTS..MAX_GRID_N points."""
+    if y_max is None:
+        # keep the spacing near 0.02 when the default domain grows with lam
+        y_max = eigensolver.default_y_max(derived.lam, 2)
+        needed = y_max / 0.02
+        if needed > MAX_GRID_N:
+            raise ConstraintViolationError(
+                f"lam = {derived.lam:.6g}, set by omega, k, hbar and "
+                f"alpha*gamma, needs an eigensolver grid of {needed:.3g} "
+                f"points at spacing 0.02, above the bound {MAX_GRID_N}")
+        grid_n = max(grid_n, int(round(needed)))
+    if not eigensolver.MIN_POINTS <= grid_n <= MAX_GRID_N:
+        raise ConstraintViolationError(
+            f"grid_n = {grid_n} is outside {eigensolver.MIN_POINTS}.."
+            f"{MAX_GRID_N}, the eigensolver grid sizes verify accepts")
+    return eigensolver.YGrid(y_max=y_max, n_points=grid_n)
+
+
 def _classical_checks(phys, amb):
     echo = _echo(phys, amb)
     rows = []
     amplitude = min(1.0, 0.5 * 3.0 * phys.omega / phys.k)
     period = 2.0 * math.pi / phys.omega
-    step = 1e-3
-    # RK4 is unstable on the harmonic part beyond omega * step = 2 sqrt 2
-    if phys.omega * step > 2.0 * math.sqrt(2.0):
-        raise ConstraintViolationError(
-            f"omega = {phys.omega} is too large for verify: its one-period "
-            f"span {period:.3g} is under {math.pi / math.sqrt(2.0):.3g} steps "
-            f"of the classical checks' fixed RK4 step {step}, where RK4 is "
-            f"unstable")
     initial = classical.OscillatorState(
         x=classical.analytic_solution(phys, amplitude, 0.0, 0.0),
         v=classical.analytic_velocity(phys, amplitude, 0.0, 0.0))
-    traj = classical.integrate_lienard(phys, initial, period, step)
+    traj = classical.integrate_lienard(phys, initial, period, _RK4_STEP)
     exact = classical.analytic_solution(phys, amplitude, 0.0, traj.times)
     rows.append(ReportRecord.from_absolute(
         "classical.rk4-vs-closed-form", echo,
@@ -160,14 +203,12 @@ def _susy_checks(phys, amb):
     return rows
 
 
-def _operator_checks(phys, amb, h_p):
+def _operator_checks(phys, amb, grid):
     echo = _echo(phys, amb)
     rows = []
     derived = derive_params(phys, amb)
     table = susy.spectrum(phys, amb, 2)
 
-    lo, hi = wavefn.support_window(phys, derived, 2)
-    grid = quantize.MomentumGrid.with_spacing(phys, lo, hi, h_p)
     worst = 0.0
     for n in range(3):
         values = wavefn.psi(phys, derived, n, grid.points)
@@ -188,14 +229,8 @@ def _operator_checks(phys, amb, h_p):
     return rows
 
 
-def _eigensolver_checks(phys, amb, grid_n, y_max):
+def _eigensolver_checks(phys, amb, grid):
     echo = _echo(phys, amb)
-    derived = derive_params(phys, amb)
-    if y_max is None:
-        # keep the spacing near 0.02 when the default domain grows with lam
-        y_max = eigensolver.default_y_max(derived.lam, 2)
-        grid_n = max(grid_n, int(round(y_max / 0.02)))
-    grid = eigensolver.YGrid(y_max=y_max, n_points=grid_n)
     comparison = eigensolver.verify_spectrum(phys, amb, 2, grid)
     rows = [ReportRecord.from_absolute(
         "eigensolver.levels-vs-algebraic", echo,
@@ -254,8 +289,12 @@ def _wavefn_checks(phys, amb):
 def run_suite(phys, amb, grid_n=6000, y_max=None, h_p=1e-3):
     """Run every module's fast invariant checks; returns ReportRecords.
 
-    The checks need the deformed oscillator (k > 0) and a momentum spacing
-    h_p > 0; anything else is rejected before any check runs.
+    The checks need the deformed oscillator (k > 0), an omega the RK4 step
+    resolves, and grids of bounded size: h_p > 0 must give the operator
+    checks 16..MAX_OPERATOR_POINTS momentum points, and the eigensolver
+    grid (grid_n, or the size lam sets when y_max is None) must hold
+    eigensolver.MIN_POINTS..MAX_GRID_N points. Anything else is rejected
+    before any check runs or any grid is allocated.
     """
     if not phys.is_deformed:
         raise ConstraintViolationError(
@@ -263,11 +302,15 @@ def run_suite(phys, amb, grid_n=6000, y_max=None, h_p=1e-3):
             "is served by `spectrum`, `wavefn` and `limit`")
     if not h_p > 0.0:
         raise ConstraintViolationError(f"h_p must be > 0, got {h_p}")
+    _check_rk4_step(phys)
+    derived = derive_params(phys, amb)
+    operator_grid = _operator_grid(phys, derived, h_p)
+    eigensolver_grid = _eigensolver_grid(derived, grid_n, y_max)
     records = []
     records.extend(_classical_checks(phys, amb))
     records.extend(_potential_checks(phys, amb))
     records.extend(_susy_checks(phys, amb))
-    records.extend(_operator_checks(phys, amb, h_p))
-    records.extend(_eigensolver_checks(phys, amb, grid_n, y_max))
+    records.extend(_operator_checks(phys, amb, operator_grid))
+    records.extend(_eigensolver_checks(phys, amb, eigensolver_grid))
     records.extend(_wavefn_checks(phys, amb))
     return records

@@ -15,6 +15,16 @@ is discretized conservatively on a uniform grid with Dirichlet ends:
 The matrix is symmetric by construction with negative off-diagonals; its
 lowest eigenvalues are extracted by Sturm-count bisection and compared with
 the algebraic levels (n + 1/2 + lam - a_script) hbar omega.
+
+verify_spectrum solves a pilot grid, grid N and grid 2N + 1, coarse to
+fine. Each grid's bisection is given probes: Sturm counts taken first at
+shifts just below and above where the coarser grids put each level. The
+count is monotone in the shift, so a probe is bracket information of the
+same kind as a bisection midpoint: it decides midpoints without a sweep
+but never changes which way one goes, and every reported eigenvalue keeps
+the bits of a plain bisection. The probes come from the solver's own
+coarser solutions, never from the algebraic spectrum it is checked
+against.
 """
 
 import math
@@ -28,6 +38,10 @@ from .susy import spectrum
 
 BISECTION_TOL = 1e-10
 _MAX_BISECTIONS = 200
+MIN_POINTS = 500
+# probe margins of verify_spectrum, see _probes
+_COARSE_MARGIN = 0.1
+_RICHARDSON_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -43,8 +57,9 @@ class YGrid:
     def __post_init__(self):
         if not self.y_max > 0.0:
             raise ValueError(f"y_max must be > 0, got {self.y_max}")
-        if self.n_points < 500:
-            raise ValueError(f"need at least 500 grid points, got {self.n_points}")
+        if self.n_points < MIN_POINTS:
+            raise ValueError(
+                f"need at least {MIN_POINTS} grid points, got {self.n_points}")
 
     @property
     def spacing(self):
@@ -108,7 +123,17 @@ def build_operator(phys, derived, grid):
     return TridiagonalOperator(diagonal=diag, off_diagonal=off)
 
 
-def lowest_eigenvalues(op, count):
+def _record_count(op, shift, below, above):
+    """Take one Sturm count at shift and tighten every level's bounds."""
+    n_below = op.count_below(shift)
+    for j in range(len(below)):
+        if n_below > j:
+            above[j] = min(above[j], shift)
+        else:
+            below[j] = max(below[j], shift)
+
+
+def lowest_eigenvalues(op, count, probes=()):
     """The `count` smallest eigenvalues, each bisected to 1e-10 absolute.
 
     Bisection on the Sturm count is deterministic and needs no dense
@@ -122,12 +147,22 @@ def lowest_eigenvalues(op, count):
     monotone in the shift (Demmel, Dhillon and Ren 1995), so the decision
     is the one a sweep would give: every level visits the same midpoints
     and returns the same bits as a plain bisection, with fewer sweeps.
+
+    `probes` are extra shifts counted before the bisection starts, e.g.
+    guesses of the eigenvalues from a coarser grid. Their counts enter
+    below/above like a midpoint's, and for the same reason they cannot
+    move a bit: start brackets, midpoints and stop rule are untouched, so
+    any list of probes (unsorted, repeated, outside the spectrum, or on an
+    eigenvalue) returns the values a plain bisection returns. A probe
+    close to an eigenvalue only decides more midpoints without a sweep.
     """
     if not 1 <= count <= 10:
         raise ValueError(f"count must be in 1..10, got {count}")
     lo_all, hi_all = op.gershgorin()
     below = [-math.inf] * count
     above = [math.inf] * count
+    for shift in probes:
+        _record_count(op, shift, below, above)
     out = np.empty(count)
     lo_start = lo_all
     for k in range(count):
@@ -141,12 +176,7 @@ def lowest_eigenvalues(op, count):
                     f"{BISECTION_TOL} in {_MAX_BISECTIONS} iterations")
             mid = 0.5 * (lo + hi)
             if below[k] < mid < above[k]:
-                n_below = op.count_below(mid)
-                for j in range(count):
-                    if n_below > j:
-                        above[j] = min(above[j], mid)
-                    else:
-                        below[j] = max(below[j], mid)
+                _record_count(op, mid, below, above)
             if mid >= above[k]:
                 hi = mid
             else:
@@ -184,18 +214,56 @@ class SpectrumComparison:
         return self.errors / self.refined_errors
 
 
+def _probes(hbar_omega, solved, grid, op):
+    """Shifts bracketing each level on grid, placed from coarser solutions.
+
+    After one coarser grid (spacing h1) a level sits within the h^2 error
+    scale of its value there: E1 +- 0.1 hbar omega h1^2. After two, the
+    Richardson guess E2 + (E2 - E1)(h^2 - h2^2)/(h2^2 - h1^2) is off by the
+    h^4 term and by the rounding of the Sturm counts behind E1 and E2, so
+    the margin is 1e-4 |E2 - E1| plus 2 eps ||op||. The guess only places
+    probes; the bisection still returns its own bits (lowest_eigenvalues).
+    """
+    if not solved:
+        return ()
+    if len(solved) == 1:
+        (coarse, values), = solved
+        centres = values
+        margin = _COARSE_MARGIN * hbar_omega * coarse.spacing ** 2
+    else:
+        (g1, e1), (g2, e2) = solved[-2:]
+        h1, h2, h = g1.spacing ** 2, g2.spacing ** 2, grid.spacing ** 2
+        centres = e2 + (e2 - e1) * (h - h2) / (h2 - h1)
+        norm = max(abs(bound) for bound in op.gershgorin())
+        margin = (_RICHARDSON_MARGIN * np.abs(e2 - e1)
+                  + 2.0 * np.finfo(float).eps * norm)
+    return np.concatenate([centres - margin, centres + margin]).tolist()
+
+
 def verify_spectrum(phys, amb, n_max, grid):
     """Pair solver eigenvalues with the algebraic spectrum for n = 0..n_max.
 
     Also solves on the half-spacing grid so the quadratic convergence of
     the discretization is observable from the error ratios.
+
+    The grids are solved coarse to fine, starting from a pilot grid with
+    ~4x the spacing when that keeps MIN_POINTS points, and each grid's
+    bisection is probed where the coarser ones put its levels (_probes).
+    Probes save Sturm sweeps but cannot move a bit of the reported
+    eigenvalues; the pilot's are used for nothing else.
     """
     if not 0 <= n_max <= 5:
         raise ValueError(f"n_max must be in 0..5, got {n_max}")
     table = spectrum(phys, amb, n_max)
-    op = build_operator(phys, table.derived, grid)
-    numeric = lowest_eigenvalues(op, n_max + 1)
-    op_fine = build_operator(phys, table.derived, grid.refined())
-    refined = lowest_eigenvalues(op_fine, n_max + 1)
+    grids = [grid, grid.refined()]
+    pilot_points = (grid.n_points - 3) // 4
+    if pilot_points >= MIN_POINTS:
+        grids.insert(0, YGrid(y_max=grid.y_max, n_points=pilot_points))
+    solved = []
+    for g in grids:
+        op = build_operator(phys, table.derived, g)
+        probes = _probes(phys.hbar_omega, solved, g, op)
+        solved.append((g, lowest_eigenvalues(op, n_max + 1, probes)))
     return SpectrumComparison(analytic=table.energies,
-                              numeric=numeric, refined_numeric=refined)
+                              numeric=solved[-2][1],
+                              refined_numeric=solved[-1][1])

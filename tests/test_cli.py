@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -177,16 +178,31 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
                             "one-period span 6.28e-50"),
     ("wavefn --samples 0", "'samples' must be >= 2"),
     ("wavefn --samples -3", "'samples' must be >= 2"),
+    ("verify --h-p 1e-9", "h_p = 1e-09 is outside [3.46e-05, 2.31]"),
+    ("verify --h-p 10", "h_p = 10.0 is outside [3.46e-05, 2.31]"),
+    ("verify --grid-n 100000000", "grid_n = 100000000 is outside 500..1000000"),
+    ("verify --grid-n 499 --y-max 150", "grid_n = 499 is outside 500..1000000"),
+    ("verify --k 0.01", "lam = 90000, set by omega, k, hbar and alpha*gamma, "
+                        "needs an eigensolver grid of 1.8e+07 points"),
 ], ids=["omega-cubed-overflows", "a-script-squared-overflows",
         "k-squared-underflows", "lam-overflows", "unstable-step",
         "limit-a-values", "verify-h-p-zero", "verify-h-p-negative",
         "verify-k-zero", "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
-        "wavefn-samples-negative"])
+        "wavefn-samples-negative", "verify-h-p-tiny", "verify-h-p-huge",
+        "verify-grid-n-huge", "verify-grid-n-small", "verify-lam-grid-huge"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     out = tmp_path / "o.csv"
-    assert main(argv.split() + ["--output", str(out)]) == 2
+    tracemalloc.start()
+    try:
+        code = main(argv.split() + ["--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+    # rejected before the sizes were allocated: a 1e8-point grid is 800 MB
+    assert peak < 16 * 2 ** 20
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lienardqm import kernels
 from lienardqm.eigensolver import (BISECTION_TOL, TridiagonalOperator, YGrid,
@@ -121,6 +123,70 @@ def test_shared_brackets_bit_identical_with_fewer_sweeps(
     values = lowest_eigenvalues(op, 3)
     assert len(sweeps) == shared_sweeps
     assert [v.hex() for v in values] == [v.hex() for v in expected]
+
+
+_entries = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_probes_never_move_a_bit(data):
+    dim = data.draw(st.integers(1, 12), label="dim")
+    op = TridiagonalOperator(
+        diagonal=np.array(data.draw(st.lists(_entries, min_size=dim,
+                                             max_size=dim))),
+        off_diagonal=np.array(data.draw(st.lists(_entries, min_size=dim - 1,
+                                                 max_size=dim - 1))))
+    count = data.draw(st.integers(1, min(dim, 10)), label="count")
+    plain = lowest_eigenvalues(op, count)
+    lo, hi = op.gershgorin()
+    # anywhere, beyond the spectrum, exactly on a computed eigenvalue, and
+    # within a few tolerances of one; repeated and in any order
+    shifts = st.one_of(
+        st.floats(lo - 10.0, hi + 10.0),
+        st.sampled_from([lo - 1.0, hi + 1.0, -1e300, 1e300]),
+        st.sampled_from(plain.tolist()),
+        st.builds(lambda v, d: v + d * BISECTION_TOL,
+                  st.sampled_from(plain.tolist()), st.integers(-4, 4)))
+    probes = data.draw(st.lists(shifts, max_size=12), label="probes")
+    probes += data.draw(st.lists(st.sampled_from(probes), max_size=4)
+                        if probes else st.just([]), label="repeats")
+    probed = lowest_eigenvalues(op, count, probes)
+    assert [v.hex() for v in probed] == [v.hex() for v in plain]
+
+
+def _count_rows(monkeypatch):
+    rows = []
+    sturm_count = kernels.sturm_count
+    monkeypatch.setattr(kernels, "sturm_count",
+                        lambda *args: rows.append(len(args[0]))
+                        or sturm_count(*args))
+    return rows
+
+
+def test_verify_spectrum_coarse_to_fine_work_and_bits(monkeypatch):
+    # the grid verify resolves at its default parameters with alpha*gamma = 19
+    derived = derive_params(PHYS, AMB19)
+    grid = YGrid(y_max=default_y_max(derived.lam, 2), n_points=8500)
+    rows = _count_rows(monkeypatch)
+    cmp = verify_spectrum(PHYS, AMB19, 2, grid)
+    # plain bisection of grids N and 2N + 1 sweeps 3,145,124 rows
+    assert sum(rows) <= 1_432_162
+    assert set(rows) == {2124, 8500, 17001}  # pilot, grid N, grid 2N + 1
+    for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):
+        plain = lowest_eigenvalues(build_operator(PHYS, derived, g), 3)
+        assert [v.hex() for v in solved] == [v.hex() for v in plain]
+
+
+def test_verify_spectrum_without_pilot_below_the_point_floor(monkeypatch):
+    # (2002 - 3) // 4 = 499 pilot points would fall below the 500 floor
+    grid = YGrid(y_max=150.0, n_points=2002)
+    derived = derive_params(PHYS, AMB19)
+    rows = _count_rows(monkeypatch)
+    cmp = verify_spectrum(PHYS, AMB19, 2, grid)
+    assert set(rows) == {2002, 4005}
+    plain = lowest_eigenvalues(build_operator(PHYS, derived, grid.refined()), 3)
+    assert [v.hex() for v in cmp.refined_numeric] == [v.hex() for v in plain]
 
 
 def test_verify_spectrum_against_algebraic_levels():

@@ -43,6 +43,13 @@ CASES = {
     "verify-k-0": "verify --k 0",
     "verify-omega-1e50": "verify --omega 1e50",
     "wavefn-samples-0": "wavefn --samples 0",
+    "wavefn-json": "wavefn --format json",
+    "wavefn-k0-json": "wavefn --k 0 --format json",
+    "limit-json": "limit --format json",
+    "sweep-2d-json": "sweep --omega-values 2,1,0.5 --k-values 1,0.5 "
+                     "--alpha-values 0,19 --gamma 1 --format json",
+    "classical-45k": "classical --step 2e-4 --t-end 9",
+    "spectrum-n60-json": "spectrum --n-max 60 --format json",
 }
 
 

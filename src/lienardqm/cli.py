@@ -73,37 +73,75 @@ class RunConfig:
         return {k: getattr(self, k) for k in keys}
 
 
+_FLOAT_CELL = "%.17g"  # 17 significant digits: every float64 round-trips
+
+# Rows a table may hold; checked before any row is computed.
+MAX_ROWS = 10 ** 6
+
+
 def _fmt(value):
-    """Fixed-width float serialization: 17 significant digits, round-trip safe."""
+    """One CSV cell: a float to 17 significant digits, round-trip safe."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return _FLOAT_CELL % value
     return str(value)
 
 
+def _cells(column, fmt):
+    """The serialized cells of one column. A float64 array column takes one
+    C-level pass (no float's JSON text holds ", "); any other column is
+    serialized cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        values = column.tolist()
+        if fmt == "csv":
+            return list(map(_FLOAT_CELL.__mod__, values))
+        return json.dumps(values)[1:-1].split(", ")
+    return list(map(_fmt if fmt == "csv" else json.dumps, column))
+
+
 def write_output(path, columns, rows, meta, fmt):
-    """Write rows as CSV (fixed header) or JSON ({meta, rows})."""
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        payload = {
-            "meta": {"params": meta, "version": __version__},
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    else:
+    """Write rows as CSV (fixed header) or JSON ({meta, rows}).
+
+    rows is a 2-D float64 array or a sequence of row tuples. It is
+    serialized a column at a time, to the same bytes as `_fmt` on every
+    cell (CSV) or `json.dumps(payload, sort_keys=True, indent=1)` (JSON).
+    """
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
+    table = rows.T if isinstance(rows, np.ndarray) else zip(*rows)
+    cells = [_cells(column, fmt) for column in table] if len(rows) else []
+    if fmt == "csv":
+        text = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+    else:
+        text = json.dumps({"meta": {"params": meta, "version": __version__},
+                           "rows": []}, sort_keys=True, indent=1)
+        if cells:
+            # one row's JSON text with a %s per cell; a repeated column
+            # name keeps its last column, as dict(zip(columns, row)) does
+            index = {name: i for i, name in enumerate(columns)}
+            keys = sorted(index)
+            row = "  {\n" + ",\n".join(
+                f"   {json.dumps(key).replace('%', '%%')}: %s"
+                for key in keys) + "\n  }"
+            body = map(row.__mod__, zip(*(cells[index[key]] for key in keys)))
+            text = text[:-len("[]\n}")] + "[\n" + ",\n".join(body) + "\n ]\n}"
+        text += "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise LienardError(f"cannot write output file {path}: {exc}") from exc
     return path
+
+
+def _check_rows(count, what):
+    """Raise naming `what`, the options that set them, unless `count` rows
+    fit MAX_ROWS."""
+    if not count <= MAX_ROWS:
+        raise LienardError(f"{what} would give more than {MAX_ROWS} output rows")
 
 
 def _out_path(config, name):
@@ -114,35 +152,44 @@ def _out_path(config, name):
 
 
 def _parse_floats(text, key):
-    """The comma-separated numbers of option `key`, each required finite."""
+    """The comma-separated numbers of option `key`: at least one, all finite."""
     values = tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    if not all(map(math.isfinite, values)):
-        raise LienardError(f"option {key!r} must hold finite numbers, "
-                           f"got {text!r}")
+    if not values or not all(map(math.isfinite, values)):
+        raise LienardError(f"option {key!r} must hold one or more finite "
+                           f"numbers, got {text!r}")
     return values
 
 
 def cmd_classical(config):
     phys = config.phys()
     t_end = config.t_end if config.t_end is not None else 2.0 * math.pi / phys.omega
+    if config.step > 0.0 and t_end > 0.0:
+        # integrate_lienard writes round(t_end / step) + 1 rows
+        unset = "" if config.t_end is not None else (
+            f" (unset: one period at 'omega' = {phys.omega})")
+        _check_rows(round(min(t_end / config.step, MAX_ROWS)) + 1,
+                    f"options 'step' = {config.step} and 't_end' = {t_end}"
+                    f"{unset}")
     initial = classical.OscillatorState(
         x=classical.analytic_solution(phys, config.amplitude, config.phase, 0.0),
         v=classical.analytic_velocity(phys, config.amplitude, config.phase, 0.0))
     traj = classical.integrate_lienard(phys, initial, t_end, config.step)
     exact = classical.analytic_solution(phys, config.amplitude, config.phase,
                                         traj.times)
-    rows = [(t, x, xa, abs(x - xa))
-            for t, x, xa in zip(traj.times, traj.positions, exact)]
+    rows = np.column_stack((traj.times, traj.positions, exact,
+                            np.abs(traj.positions - exact)))
     path = write_output(_out_path(config, "classical"),
                         ("t", "x_numeric", "x_analytic", "abs_err"),
                         rows, config.echo(), config.format)
+    # nanmax, like max() over the rows: the first row's error is finite
     print(f"classical: {len(rows)} samples, max |x_num - x_exact| = "
-          f"{max(r[3] for r in rows):.3e} -> {path}")
+          f"{np.nanmax(rows[:, 3]):.3e} -> {path}")
     return 0
 
 
 def cmd_spectrum(config):
     phys = config.phys()
+    _check_rows(config.n_max + 1, f"option 'n_max' = {config.n_max}")
     table = susy.spectrum(phys, config.amb(), config.n_max)
     hw = phys.hbar_omega
     rows = [(n, e, e / hw) for n, e in table.levels()]
@@ -159,6 +206,7 @@ def cmd_wavefn(config):
     if config.samples < 2:
         raise LienardError(f"option 'samples' must be >= 2, "
                            f"got {config.samples}")
+    _check_rows(config.samples, f"option 'samples' = {config.samples}")
     if phys.is_deformed:
         derived = derive_params(phys, config.amb())
         lo, hi = wavefn.support_window(phys, derived, n)
@@ -170,7 +218,7 @@ def cmd_wavefn(config):
         p = np.linspace(-half, half, config.samples)
         y = np.full_like(p, math.nan)
     values = wavefn.psi(phys, derived, n, p)
-    rows = list(zip(p, y, values))
+    rows = np.column_stack((p, y, values))
     path = write_output(_out_path(config, "wavefn"), ("p", "y", "psi"),
                         rows, {**config.echo(), "level": n}, config.format)
     print(f"wavefn: level {n}, {len(rows)} samples -> {path}")
@@ -232,14 +280,19 @@ def _sweep_point(args):
 
 
 def cmd_sweep(config):
-    axes = []
+    axes, given = [], []
     for name in ("omega", "k", "alpha", "gamma"):
         values = getattr(config, f"{name}_values")
+        if values:
+            given.append(f"'{name}_values'")
         axes.append(_parse_floats(values, f"{name}_values") if values
                     else (getattr(config, name),))
+    count = math.prod(map(len, axes))
+    _check_rows(count, f"options {', '.join(given)} with {count} parameter "
+                       f"points")
     points = itertools.product(*axes, (config.hbar,))
-    rows = sorted(map(_sweep_point, points),
-                  key=lambda r: r[:4])  # axes may come unsorted
+    rows = np.array(sorted(map(_sweep_point, points),
+                           key=lambda r: r[:4]))  # axes may come unsorted
     path = write_output(_out_path(config, "sweep"),
                         ("omega", "k", "alpha", "gamma", "a_script",
                          "lambda", "shift", "e0"),

@@ -1,9 +1,15 @@
 import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lienardqm.cli import main
+from lienardqm import __version__
+from lienardqm.cli import main, write_output
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
 
 
@@ -96,6 +102,65 @@ def test_json_round_trip(tmp_path):
     assert text == _read(out)
 
 
+def _reference_fmt(value):
+    """One CSV cell, formatted on its own."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _reference_output(columns, rows, meta, fmt):
+    """The table as formatted cell by cell, row by row: the writer's oracle."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines.extend(",".join(_reference_fmt(cell) for cell in row)
+                     for row in rows)
+        return "\n".join(lines) + "\n"
+    payload = {"meta": {"params": meta, "version": __version__},
+               "rows": [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0,
+                                5e-324, -2.2e-308, 1.7e308, -1.7e308])
+_FLOATS = _EDGE_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
+_TEXT = (st.text(st.sampled_from('ab,% "\\\u00e9\u221e\n'), max_size=6)
+         | st.sampled_from([", ", "%s", "%%", '"quoted"', "back\\slash",
+                            "na\u00efve"]))
+_CELLS = (_TEXT | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.none()
+          | _FLOATS | _FLOATS.map(np.float64))
+_COLUMNS = st.lists(_TEXT, min_size=1, max_size=5)
+_META = st.dictionaries(_TEXT, _CELLS, max_size=3)
+
+
+@st.composite
+def _tables(draw):
+    """(columns, rows): a 2-D float64 array or a list of mixed row tuples."""
+    columns = draw(_COLUMNS)
+    if draw(st.booleans()):
+        rows = draw(arrays(np.float64, (draw(st.integers(0, 8)), len(columns)),
+                           elements=_FLOATS))
+    else:
+        rows = draw(st.lists(st.tuples(*[_CELLS] * len(columns)), max_size=8))
+    return columns, rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables(), meta=_META, fmt=st.sampled_from(["csv", "json"]))
+def test_write_output_matches_cell_by_cell_reference(tmp_path, table, meta,
+                                                     fmt):
+    columns, rows = table
+    out = tmp_path / f"o.{fmt}"
+    write_output(out, columns, rows, meta, fmt)
+    with open(out, encoding="utf-8", newline="") as fh:
+        assert fh.read() == _reference_output(columns, rows, meta, fmt)
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"alpha": 19.0, "gamma": 1.0, "n_max": 2}))
@@ -184,12 +249,27 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("verify --grid-n 499 --y-max 150", "grid_n = 499 is outside 500..1000000"),
     ("verify --k 0.01", "lam = 90000, set by omega, k, hbar and alpha*gamma, "
                         "needs an eigensolver grid of 1.8e+07 points"),
+    ("spectrum --n-max 100000000", "option 'n_max' = 100000000 would give "
+                                   "more than 1000000 output rows"),
+    ("spectrum --n-max 1000000", "option 'n_max' = 1000000 would give"),
+    ("classical --step 1e-300", "options 'step' = 1e-300 and 't_end' = "
+                                "6.283185307179586 (unset: one period at "
+                                "'omega' = 1.0) would give"),
+    ("classical --step 1e-6 --t-end 1", "options 'step' = 1e-06 and "
+                                        "'t_end' = 1.0 would give"),
+    ("wavefn --samples 1000000000", "option 'samples' = 1000000000 would give"),
+    ("sweep --omega-values " + ",".join(map(str, range(1, 1002)))
+     + " --k-values " + ",".join(map(str, range(1, 1001))),
+     "options 'omega_values', 'k_values' with 1001000 parameter points "
+     "would give more than 1000000 output rows"),
 ], ids=["omega-cubed-overflows", "a-script-squared-overflows",
         "k-squared-underflows", "lam-overflows", "unstable-step",
         "limit-a-values", "verify-h-p-zero", "verify-h-p-negative",
         "verify-k-zero", "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
         "wavefn-samples-negative", "verify-h-p-tiny", "verify-h-p-huge",
-        "verify-grid-n-huge", "verify-grid-n-small", "verify-lam-grid-huge"])
+        "verify-grid-n-huge", "verify-grid-n-small", "verify-lam-grid-huge",
+        "spectrum-n-max-huge", "spectrum-n-max-one-over", "classical-step-tiny",
+        "classical-one-row-over", "wavefn-samples-huge", "sweep-axes-huge"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     out = tmp_path / "o.csv"
     tracemalloc.start()
@@ -203,6 +283,20 @@ def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     assert not out.exists()
     # rejected before the sizes were allocated: a 1e8-point grid is 800 MB
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv, named", [
+    ("sweep --omega-values ,", "'omega_values'"),
+    ("sweep --k-values , --alpha-values 1", "'k_values'"),
+    ("limit --k-sequence , --a-values ,", "'k_sequence'"),
+    ("limit --a-values ,", "'a_values'"),
+], ids=["sweep-omega-values", "sweep-k-values", "limit-both", "limit-a-values"])
+def test_list_option_without_numbers_exits_2(tmp_path, capsys, argv, named):
+    out = tmp_path / "o.csv"
+    assert main(argv.split() + ["--output", str(out)]) == 2
+    assert f"option {named} must hold one or more finite numbers" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -50,6 +50,9 @@ CASES = {
                      "--alpha-values 0,19 --gamma 1 --format json",
     "classical-45k": "classical --step 2e-4 --t-end 9",
     "spectrum-n60-json": "spectrum --n-max 60 --format json",
+    "classical-alpha": "classical --alpha 1",
+    "limit-k": "limit --k 1",
+    "limit-n-max-negative": "limit --n-max -1 --a-values 1",
 }
 
 

@@ -286,7 +286,7 @@ def _wavefn_checks(phys, amb):
     return rows
 
 
-def run_suite(phys, amb, grid_n=6000, y_max=None, h_p=1e-3):
+def run_suite(phys, amb, *, grid_n, y_max, h_p):
     """Run every module's fast invariant checks; returns ReportRecords.
 
     The checks need the deformed oscillator (k > 0), an omega the RK4 step

@@ -246,6 +246,8 @@ def cmd_verify(config):
 
 
 def cmd_limit(config):
+    if config.n_max < 0:
+        raise LienardError(f"option 'n_max' must be >= 0, got {config.n_max}")
     phys = config.phys()
     rows = []
     k_seq = _parse_floats(config.k_sequence, "k_sequence")
@@ -311,71 +313,70 @@ _COMMANDS = {
 }
 
 
-def _add_common(parser):
+_PARAMETER_FLAGS = {
+    "omega": (float, "angular frequency (> 0)"),
+    "k": (float, "deformation strength (>= 0)"),
+    "hbar": (float, "action scale (> 0)"),
+    "alpha": (float, "ordering exponent alpha"),
+    "gamma": (float, "ordering exponent gamma"),
+    "n_max": (int, "highest level index"),
+}
+
+
+def _add_command(sub, name, text, *flags):
+    """A subcommand taking --config, --output, --format and the named
+    _PARAMETER_FLAGS; no option may be abbreviated."""
+    parser = sub.add_parser(name, help=text, allow_abbrev=False)
     parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--omega", type=float, help="angular frequency (> 0)")
-    parser.add_argument("--k", type=float, help="deformation strength (>= 0)")
-    parser.add_argument("--hbar", type=float, help="action scale (> 0)")
-    parser.add_argument("--alpha", type=float, help="ordering exponent alpha")
-    parser.add_argument("--gamma", type=float, help="ordering exponent gamma")
-    parser.add_argument("--n-max", dest="n_max", type=int,
-                        help="highest level index")
+    for flag in flags:
+        kind, flag_help = _PARAMETER_FLAGS[flag]
+        parser.add_argument("--" + flag.replace("_", "-"), type=kind,
+                            help=flag_help)
     parser.add_argument("--output", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"),
                         help="output format (default csv)")
+    return parser
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="lienardqm",
+        prog="lienardqm", allow_abbrev=False,
         description="Deformed-oscillator toolkit: classical dynamics, "
                     "spectrum, eigenfunctions, and verification suites.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    physical = ("omega", "k", "hbar", "alpha", "gamma")
 
-    p = sub.add_parser("classical", help="RK4 trajectory vs closed form")
-    _add_common(p)
+    p = _add_command(sub, "classical", "RK4 trajectory vs closed form",
+                     "omega", "k")
     p.add_argument("--amplitude", type=float, help="closed-form amplitude")
     p.add_argument("--phase", type=float, help="closed-form phase")
-    p.add_argument("--t-end", dest="t_end", type=float,
+    p.add_argument("--t-end", type=float,
                    help="integration time (default: one period)")
     p.add_argument("--step", type=float, help="RK4 step")
 
-    p = sub.add_parser("spectrum", help="bound-state energies")
-    _add_common(p)
+    _add_command(sub, "spectrum", "bound-state energies", *physical, "n_max")
 
-    p = sub.add_parser("wavefn", help="sampled eigenfunction")
-    _add_common(p)
+    p = _add_command(sub, "wavefn", "sampled eigenfunction", *physical)
     p.add_argument("--level", type=int, help="level index n")
     p.add_argument("--samples", type=int, help="number of momentum samples")
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    _add_common(p)
-    p.add_argument("--grid-n", dest="grid_n", type=int,
-                   help="eigensolver grid points")
-    p.add_argument("--y-max", dest="y_max", type=float,
-                   help="eigensolver domain cutoff")
-    p.add_argument("--h-p", dest="h_p", type=float,
+    p = _add_command(sub, "verify", "run the verification suite", *physical)
+    p.add_argument("--grid-n", type=int, help="eigensolver grid points")
+    p.add_argument("--y-max", type=float, help="eigensolver domain cutoff")
+    p.add_argument("--h-p", type=float,
                    help="momentum grid spacing for operator checks")
 
-    p = sub.add_parser("limit", help="no-deformation limit studies")
-    _add_common(p)
-    p.add_argument("--k-sequence", dest="k_sequence",
-                   help="comma-separated decreasing k values")
-    p.add_argument("--a-values", dest="a_values",
-                   help="comma-separated scale values for the polynomial "
-                        "and gamma studies")
+    p = _add_command(sub, "limit", "no-deformation limit studies",
+                     "omega", "hbar", "n_max")
+    p.add_argument("--k-sequence", help="comma-separated decreasing k values")
+    p.add_argument("--a-values", help="comma-separated scale values for the "
+                                      "polynomial and gamma studies")
 
-    p = sub.add_parser("sweep", help="parameter sweep of derived quantities")
-    _add_common(p)
-    p.add_argument("--omega-values", dest="omega_values",
-                   help="comma-separated omega list")
-    p.add_argument("--k-values", dest="k_values",
-                   help="comma-separated k list")
-    p.add_argument("--alpha-values", dest="alpha_values",
-                   help="comma-separated alpha list")
-    p.add_argument("--gamma-values", dest="gamma_values",
-                   help="comma-separated gamma list")
+    p = _add_command(sub, "sweep", "parameter sweep of derived quantities",
+                     *physical)
+    for name in ("omega", "k", "alpha", "gamma"):
+        p.add_argument(f"--{name}-values", help=f"comma-separated {name} list")
     return parser
 
 

@@ -186,10 +186,10 @@ def lowest_eigenvalues(op, count, probes=()):
     return out
 
 
-def sign_changes(values, floor=1e-8):
-    """Count strict sign alternations, ignoring entries below floor*sup."""
+def sign_changes(values):
+    """Count strict sign alternations, ignoring entries below 1e-8 of the sup."""
     v = np.asarray(values)
-    v = v[np.abs(v) > floor * np.max(np.abs(v))]
+    v = v[np.abs(v) > 1e-8 * np.max(np.abs(v))]
     return int(np.sum(np.sign(v[1:]) * np.sign(v[:-1]) < 0))
 
 

@@ -132,19 +132,19 @@ def effective_potential(phys, amb, p):
     return out if out.ndim else float(out)
 
 
-def apply_hamiltonian_fd(phys, amb, grid, samples, end_tol=1e-8):
+def apply_hamiltonian_fd(phys, amb, grid, samples):
     """Apply the quantum Hamiltonian to sampled values; result on the interior.
 
     Conservative second-order stencil with midpoint kinetic coefficients
     (1 - q_{i +- 1/2}); requires the samples to live on the given grid and to
-    have decayed below end_tol (relative to their sup) at both ends, so the
-    implicit zero-extension outside the stencil is harmless.
+    have decayed below 1e-8 of their sup at both ends, so the implicit
+    zero-extension outside the stencil is harmless.
     """
     if samples.grid is not grid and not np.array_equal(samples.grid.points, grid.points):
         raise GridMismatchError("samples were taken on a different grid")
     v = samples.values
     sup = float(np.max(np.abs(v))) or 1.0
-    if abs(v[0]) > end_tol * sup or abs(v[-1]) > end_tol * sup:
+    if abs(v[0]) > 1e-8 * sup or abs(v[-1]) > 1e-8 * sup:
         raise DomainError(
             "samples do not vanish at the grid ends; enlarge the window")
     p = grid.points

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolationError, GridMismatchError
+from .errors import ConstraintViolationError
 from .params import SQRT2, deformation_factor, derive_params
 from .quantize import SampledFunction, effective_potential, mass
 
@@ -130,10 +130,6 @@ def partner_potentials_from_definitions(phys, derived, p):
     return float(v_minus), float(v_plus)
 
 
-def _points(grid):
-    return grid.points if hasattr(grid, "points") else np.asarray(grid, dtype=float)
-
-
 def ground_state_energy(phys, derived):
     """e_0 = (1/2 + lam - a_script) hbar omega."""
     return (0.5 + derived.shift) * phys.hbar_omega
@@ -147,7 +143,7 @@ def riccati_residual(phys, amb, grid, b_offset=0.0):
     detects non-solutions.
     """
     derived = derive_params(phys, amb)
-    p = _points(grid)
+    p = np.asarray(grid, dtype=float)
     u = deformation_factor(phys, p)
     w = (derived.a_coef * p + derived.b_coef + b_offset) / np.sqrt(u)
     v_eff = effective_potential(phys, amb, p)
@@ -162,7 +158,7 @@ def shape_invariance_remainder(phys, derived, grid):
     The mean is the remainder sqrt(2) a hbar omega = hbar omega; the
     stddev measures p-dependence and must sit at rounding level.
     """
-    p = _points(grid)
+    p = np.asarray(grid, dtype=float)
     b2 = derived.b_coef + partner_shift(phys)
     r = (partner_plus(phys, derived.a_coef, derived.b_coef, p)
          - partner_minus(phys, derived.a_coef, b2, p))
@@ -227,8 +223,6 @@ def apply_lowering(sp, samples):
     grid = samples.grid
     p = grid.points
     v = samples.values
-    if len(v) != len(p):
-        raise GridMismatchError("samples and grid length differ")
     h = grid.spacing
     dpsi = (v[2:] - v[:-2]) / (2.0 * h)
     w = superpotential_eval(sp, p[1:-1])
@@ -242,8 +236,6 @@ def apply_raising(sp, samples):
     grid = samples.grid
     p = grid.points
     v = samples.values
-    if len(v) != len(p):
-        raise GridMismatchError("samples and grid length differ")
     h = grid.spacing
     g = v * _inv_sqrt_mass(phys, p)
     dg = (g[2:] - g[:-2]) / (2.0 * h)

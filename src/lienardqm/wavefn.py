@@ -134,7 +134,7 @@ def overlap_matrix(phys, derived, n_max):
         "in,n,jn->ij", states, weights, states)
 
 
-def gamma_asymptotic_check(a_script_values, n_max=3):
+def gamma_asymptotic_check(a_script_values):
     """Relative accuracy of the asymptotic log Gamma(2 a_script + n + 1).
 
     The asymptotic form peels off n + 1 recurrence factors of 2 a_script
@@ -143,14 +143,14 @@ def gamma_asymptotic_check(a_script_values, n_max=3):
         log Gamma(2a + n + 1) ~ (n + 1) log 2a + (2a - 1/2) log 2a
                                  - 2a + log(2 pi)/2.
 
-    Rows are (a_script, n, relative error of the log); the error decays as
-    a_script grows.
+    Rows are (a_script, n, relative error of the log) for n = 0..3; the
+    error decays as a_script grows.
     """
     rows = []
     for a in a_script_values:
         if a < 10.0:
             raise ValueError(f"asymptotic check needs a_script >= 10, got {a}")
-        for n in range(n_max + 1):
+        for n in range(4):
             approx = ((n + 1) * math.log(2.0 * a)
                       + (2.0 * a - 0.5) * math.log(2.0 * a)
                       - 2.0 * a + 0.5 * math.log(2.0 * math.pi))
@@ -177,11 +177,12 @@ def laguerre_hermite_limit(n, x, a_script_values):
     return rows
 
 
-def limit_deviation(n, k_values, phys_base, amb=None, samples=801):
+def limit_deviation(n, k_values, phys_base):
     """Sup-norm distance of psi_n from the harmonic state along a k sequence.
 
-    The window p in [-4 sqrt(hbar omega), 4 sqrt(hbar omega)] covers the
-    harmonic states; deviations must decrease as k does. Rows are
+    The deformed states take alpha*gamma = 0. The window of 801 samples,
+    p in [-4 sqrt(hbar omega), 4 sqrt(hbar omega)], covers the harmonic
+    states; deviations must decrease as k does. Rows are
     (k, sup |psi - psi_harmonic|).
     """
     if not 0 <= n <= 3:
@@ -191,10 +192,8 @@ def limit_deviation(n, k_values, phys_base, amb=None, samples=801):
         raise ValueError("k sequence must be positive; k = 0 is the exact branch")
     if any(b >= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k sequence must be strictly decreasing")
-    if amb is None:
-        amb = AmbiguityParams(alpha=0.0, gamma=0.0)
     hw = phys_base.hbar * phys_base.omega
-    window = np.linspace(-4.0 * math.sqrt(hw), 4.0 * math.sqrt(hw), samples)
+    window = np.linspace(-4.0 * math.sqrt(hw), 4.0 * math.sqrt(hw), 801)
     reference = lho_psi(phys_base, n, window)
     rows = []
     for k in ks:
@@ -202,7 +201,7 @@ def limit_deviation(n, k_values, phys_base, amb=None, samples=801):
         if momentum_domain(phys) <= window[-1]:
             raise DomainError(
                 f"window end {window[-1]} outside the momentum domain at k = {k}")
-        derived = derive_params(phys, amb)
+        derived = derive_params(phys, AmbiguityParams(alpha=0.0, gamma=0.0))
         dev = float(np.max(np.abs(psi(phys, derived, n, window) - reference)))
         rows.append((k, dev))
     return rows

@@ -41,6 +41,23 @@ def test_unknown_flag_exits_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "classical --hbar 3", "classical --alpha 5", "classical --gamma 2",
+    "classical --n-max 9", "wavefn --n-max 9", "verify --n-max 9",
+    "limit --k 1", "limit --alpha 5", "limit --gamma 2", "sweep --n-max 9",
+    # no option may be abbreviated: limit --k above is not --k-sequence
+    "spectrum --om 2", "limit --k-seq 0.1",
+])
+def test_unread_option_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv.split() + ["--output", str(out)])
+    assert info.value.code == 2
+    flag = argv.split(maxsplit=1)[1]
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classical_csv_schema(tmp_path):
     out = tmp_path / "classical.csv"
     code = main(["classical", "--omega", "1", "--k", "1", "--step", "0.01",
@@ -67,8 +84,7 @@ RERUN_CASES = {
     "spectrum": "spectrum --omega 1.7 --k 0.3 --alpha 2 --gamma 3 --n-max 4",
     "classical": "classical --omega 1.05 --k 0.9 --amplitude 0.8 --step 0.01",
     "classical-k0": "classical --omega 1.05 --k 0 --amplitude 0.8 --step 0.01",
-    "limit": "limit --k 1 --n-max 1 --k-sequence 0.1,0.01 --a-values 1e2,1e4",
-    "limit-k0": "limit --k 0 --n-max 1 --k-sequence 0.1,0.01 --a-values 1e2,1e4",
+    "limit": "limit --n-max 1 --k-sequence 0.1,0.01 --a-values 1e2,1e4",
     "wavefn": "wavefn --alpha 19 --gamma 1 --level 2 --samples 301",
     "wavefn-k0": "wavefn --k 0 --level 2 --samples 301",
     "sweep": "sweep --omega-values 2,1 --k-values 1,0.5 --alpha 19 --gamma 1",
@@ -236,6 +252,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("spectrum --alpha 1e200 --gamma 1e200", "alpha*gamma = inf"),
     ("classical --step 3 --t-end 300", "step 3.0"),
     ("limit --a-values -1", "'a_values' must hold numbers > 0"),
+    ("limit --n-max -1 --a-values 1", "option 'n_max' must be >= 0, got -1"),
     ("verify --h-p 0", "h_p must be > 0"),
     ("verify --h-p -1", "h_p must be > 0"),
     ("verify --k 0", "`spectrum`, `wavefn` and `limit`"),
@@ -264,7 +281,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
      "would give more than 1000000 output rows"),
 ], ids=["omega-cubed-overflows", "a-script-squared-overflows",
         "k-squared-underflows", "lam-overflows", "unstable-step",
-        "limit-a-values", "verify-h-p-zero", "verify-h-p-negative",
+        "limit-a-values", "limit-n-max-negative", "verify-h-p-zero", "verify-h-p-negative",
         "verify-k-zero", "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
         "wavefn-samples-negative", "verify-h-p-tiny", "verify-h-p-huge",
         "verify-grid-n-huge", "verify-grid-n-small", "verify-lam-grid-huge",
@@ -309,7 +326,7 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
 
 def test_limit_command_studies(tmp_path):
     out = tmp_path / "limit.csv"
-    code = main(["limit", "--omega", "1", "--k", "1", "--n-max", "1",
+    code = main(["limit", "--omega", "1", "--n-max", "1",
                  "--k-sequence", "0.1,0.01", "--a-values", "1e2,1e4",
                  "--output", str(out)])
     assert code == 0

@@ -232,7 +232,6 @@ def test_sign_changes_counts_strict_alternations():
     assert sign_changes([2.0, 0.0, -1.0]) == 1  # a zero is no sign
     # entries at or below floor * sup drop out: the -1e-9 wiggle is no node
     assert sign_changes([1.0, -1e-9, 2.0, -1.0]) == 1
-    assert sign_changes([1.0, -1e-9, 2.0, -1.0], floor=1e-10) == 3
     assert sign_changes([1.0, -2e-8, 2.0, -1.0]) == 1  # 2e-8 is the floor
 
 

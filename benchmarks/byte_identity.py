@@ -27,9 +27,7 @@ CASES = {
     "verify-default": "verify",
     "verify-alpha19": "verify --alpha 19 --gamma 1",
     "verify-offgrid": "verify --omega 0.99 --k 1.01 --alpha 2 --gamma 9.5",
-    "verify-grid6000": "verify --grid-n 6000 --y-max 200",
     "verify-json": "verify --format json",
-    "verify-grid600": "verify --grid-n 600 --y-max 150",
     "verify-k0.3": "verify --k 0.3",
     "spectrum-csv": "spectrum --alpha 19 --gamma 1",
     "spectrum-json": "spectrum --alpha 19 --gamma 1 --format json",
@@ -39,7 +37,6 @@ CASES = {
     "wavefn-k0": "wavefn --k 0 --level 3",
     "limit": "limit",
     "sweep": "sweep --omega-values 2,1 --k-values 1,0.5 --alpha 19 --gamma 1",
-    "verify-h-p-0": "verify --h-p 0",
     "verify-k-0": "verify --k 0",
     "verify-omega-1e50": "verify --omega 1e50",
     "wavefn-samples-0": "wavefn --samples 0",
@@ -53,6 +50,10 @@ CASES = {
     "classical-alpha": "classical --alpha 1",
     "limit-k": "limit --k 1",
     "limit-n-max-negative": "limit --n-max -1 --a-values 1",
+    "verify-grid-n": "verify --grid-n 6000",
+    "verify-h-p": "verify --h-p 0",
+    "limit-n-max-6": "limit --n-max 6",
+    "verify-operator-window": "verify --omega 50 --k 1 --hbar 1e4",
 }
 
 

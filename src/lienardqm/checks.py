@@ -22,8 +22,11 @@ from .params import (AmbiguityParams, PhysicalParams, derive_params,
 _STATES = ((0.0, 0.0), (0.3, -0.2), (1.1, 0.4), (-0.7, 0.9), (0.5, 1.7))
 
 _RK4_STEP = 1e-3
-# Size bounds of the operator checks' momentum grid and of the eigensolver
-# grid; they keep a verify run to seconds and a few hundred MB.
+# Spacings of the operator checks' momentum grid and of the eigensolver
+# grid, and bounds on their sizes that keep a verify run to seconds and a
+# few hundred MB.
+_OPERATOR_SPACING = 1e-3
+_Y_SPACING = 0.02
 MAX_OPERATOR_POINTS = 10 ** 6
 MAX_GRID_N = 10 ** 6
 
@@ -57,6 +60,12 @@ def _echo(phys, amb):
             f"alpha={amb.alpha:g} gamma={amb.gamma:g}")
 
 
+def _inputs(phys, amb):
+    """The inputs that size verify's grids, for a bound's error message."""
+    return (f"omega = {phys.omega:g}, k = {phys.k:g}, hbar = {phys.hbar:g} "
+            f"and alpha*gamma = {amb.product:g}")
+
+
 def _check_rk4_step(phys):
     """RK4 is unstable on the harmonic part beyond omega * step = 2 sqrt 2."""
     if phys.omega * _RK4_STEP > 2.0 * math.sqrt(2.0):
@@ -67,39 +76,34 @@ def _check_rk4_step(phys):
             f"fixed RK4 step {_RK4_STEP}, where RK4 is unstable")
 
 
-def _operator_grid(phys, derived, h_p):
-    """The operator checks' momentum grid at spacing h_p over psi_2's window.
+def _operator_grid(phys, amb, derived):
+    """The operator checks' momentum grid over psi_2's window.
 
-    Sized before it is built: h_p must give 16..MAX_OPERATOR_POINTS points.
+    Sized before it is built: the window must hold 16..MAX_OPERATOR_POINTS
+    points at _OPERATOR_SPACING.
     """
     lo, hi = wavefn.support_window(phys, derived, 2)
     width = hi - lo
-    if not 15.0 <= width / h_p <= MAX_OPERATOR_POINTS - 1:
+    if not 15.0 <= width / _OPERATOR_SPACING <= MAX_OPERATOR_POINTS - 1:
         raise ConstraintViolationError(
-            f"h_p = {h_p} is outside [{width / (MAX_OPERATOR_POINTS - 1):.3g}, "
-            f"{width / 15.0:.3g}], the spacings that give the operator "
-            f"checks 16 to {MAX_OPERATOR_POINTS} points over their momentum "
-            f"window of width {width:.6g}")
-    return quantize.MomentumGrid.with_spacing(phys, lo, hi, h_p)
+            f"{_inputs(phys, amb)} give the operator checks a momentum "
+            f"window of width {width:.6g}, which holds "
+            f"{width / _OPERATOR_SPACING + 1:.3g} points at their spacing "
+            f"{_OPERATOR_SPACING}, outside 16..{MAX_OPERATOR_POINTS}")
+    return quantize.MomentumGrid.with_spacing(phys, lo, hi, _OPERATOR_SPACING)
 
 
-def _eigensolver_grid(derived, grid_n, y_max):
-    """The eigensolver checks' y grid, with MIN_POINTS..MAX_GRID_N points."""
-    if y_max is None:
-        # keep the spacing near 0.02 when the default domain grows with lam
-        y_max = eigensolver.default_y_max(derived.lam, 2)
-        needed = y_max / 0.02
-        if needed > MAX_GRID_N:
-            raise ConstraintViolationError(
-                f"lam = {derived.lam:.6g}, set by omega, k, hbar and "
-                f"alpha*gamma, needs an eigensolver grid of {needed:.3g} "
-                f"points at spacing 0.02, above the bound {MAX_GRID_N}")
-        grid_n = max(grid_n, int(round(needed)))
-    if not eigensolver.MIN_POINTS <= grid_n <= MAX_GRID_N:
+def _eigensolver_grid(phys, amb, derived):
+    """The eigensolver checks' y grid: lam sets its domain, default_y_max(lam,
+    2), and its size at spacing near _Y_SPACING, at most MAX_GRID_N points."""
+    y_max = eigensolver.default_y_max(derived.lam, 2)
+    needed = y_max / _Y_SPACING
+    if needed > MAX_GRID_N:
         raise ConstraintViolationError(
-            f"grid_n = {grid_n} is outside {eigensolver.MIN_POINTS}.."
-            f"{MAX_GRID_N}, the eigensolver grid sizes verify accepts")
-    return eigensolver.YGrid(y_max=y_max, n_points=grid_n)
+            f"lam = {derived.lam:.6g}, set by {_inputs(phys, amb)}, needs "
+            f"an eigensolver grid of {needed:.3g} points at spacing "
+            f"{_Y_SPACING}, above the bound {MAX_GRID_N}")
+    return eigensolver.YGrid(y_max=y_max, n_points=round(needed))
 
 
 def _classical_checks(phys, amb):
@@ -286,26 +290,22 @@ def _wavefn_checks(phys, amb):
     return rows
 
 
-def run_suite(phys, amb, *, grid_n, y_max, h_p):
+def run_suite(phys, amb):
     """Run every module's fast invariant checks; returns ReportRecords.
 
-    The checks need the deformed oscillator (k > 0), an omega the RK4 step
-    resolves, and grids of bounded size: h_p > 0 must give the operator
-    checks 16..MAX_OPERATOR_POINTS momentum points, and the eigensolver
-    grid (grid_n, or the size lam sets when y_max is None) must hold
-    eigensolver.MIN_POINTS..MAX_GRID_N points. Anything else is rejected
-    before any check runs or any grid is allocated.
+    The checks need the deformed oscillator (k > 0) and an omega the RK4
+    step resolves. The parameters set both grids, and each must stay within
+    its size bound (_operator_grid, _eigensolver_grid). Anything else is
+    rejected before any check runs or any grid is allocated.
     """
     if not phys.is_deformed:
         raise ConstraintViolationError(
             "verify needs k > 0, got k = 0; the k = 0 harmonic oscillator "
             "is served by `spectrum`, `wavefn` and `limit`")
-    if not h_p > 0.0:
-        raise ConstraintViolationError(f"h_p must be > 0, got {h_p}")
     _check_rk4_step(phys)
     derived = derive_params(phys, amb)
-    operator_grid = _operator_grid(phys, derived, h_p)
-    eigensolver_grid = _eigensolver_grid(derived, grid_n, y_max)
+    operator_grid = _operator_grid(phys, amb, derived)
+    eigensolver_grid = _eigensolver_grid(phys, amb, derived)
     records = []
     records.extend(_classical_checks(phys, amb))
     records.extend(_potential_checks(phys, amb))

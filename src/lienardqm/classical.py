@@ -188,21 +188,14 @@ def jlm_sigma_roots(phys):
 
     For f = k x and g = (k^2/9) x^3 + omega^2 x the last-multiplier
     condition d/dx (g/f) = sigma (1 - sigma) f collapses to the constant
-    relation sigma(1 - sigma) = 2/9, whose roots are 1/3 and 2/3. The roots
-    are returned from the quadratic formula and re-verified against the
-    condition on a grid before being handed out.
+    relation sigma(1 - sigma) = 2/9, whose roots are 1/3 and 2/3. They come
+    from the quadratic formula; jlm_condition_residual checks them.
     """
     if not phys.is_deformed:
         raise DomainError("sigma roots require k > 0 (g/f degenerates at k = 0)")
     # sigma^2 - sigma + 2/9 = 0
     disc = math.sqrt(1.0 - 8.0 / 9.0)
-    roots = ((1.0 - disc) / 2.0, (1.0 + disc) / 2.0)
-    xs = np.linspace(0.5, 2.5, 41)
-    for sigma in roots:
-        if jlm_condition_residual(phys, sigma, xs) > 1e-10:
-            raise ConstraintViolationError(
-                f"sigma = {sigma} failed the last-multiplier condition")
-    return roots
+    return ((1.0 - disc) / 2.0, (1.0 + disc) / 2.0)
 
 
 def jlm_condition_residual(phys, sigma, xs):

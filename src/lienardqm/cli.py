@@ -1,16 +1,22 @@
 """Command-line front end.
 
 Subcommands: classical | spectrum | wavefn | verify | limit | sweep.
-Each writes a CSV or JSON table with a full parameter echo and the package
-version, using a fixed float format (17 significant digits) so identical
-configurations produce byte-identical files. Exit codes: 0 all checks pass,
-1 a verification check failed, 2 invalid input or constraint violation.
+Each accepts one --flag per RunConfig field it reads (its row of
+_OPTIONS), plus --config, --output and --format. It writes a CSV or JSON
+table; the JSON meta echoes exactly the options of that row and the
+package version. Floats use a fixed format (17 significant digits), so
+identical configurations produce byte-identical files. Exit codes: 0 all
+checks pass, 1 a verification check failed, 2 invalid input or constraint
+violation.
 
 Flag precedence: command-line flags > --config JSON file > built-in
-defaults. LIENARDQM_OUTDIR overrides the default output directory.
+defaults. A --config file may hold the key of any option, checked for
+type and finiteness; a subcommand merges only the keys it reads.
+LIENARDQM_OUTDIR overrides the default output directory.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -26,40 +32,42 @@ from .errors import LienardError
 from .params import AmbiguityParams, PhysicalParams, derive_params
 
 
+def _option(default, text):
+    """A RunConfig field: its default and its --help text."""
+    return dataclasses.field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Merged options of one invocation: the --config keys, built-in defaults."""
+    """Merged options of one invocation: flags, --config keys, defaults.
 
-    omega: float = 1.0
-    k: float = 1.0
-    hbar: float = 1.0
-    alpha: float = 0.0
-    gamma: float = 0.0
-    n_max: int = 5
-    grid_n: int = 6000
-    y_max: float | None = None
-    h_p: float = 1e-3
-    k_sequence: str = "0.1,0.01,0.001"
-    a_values: str = "1e2,1e3,1e4,1e6"
-    amplitude: float = 0.5
-    phase: float = 0.0
-    t_end: float | None = None
-    step: float = 1e-3
-    level: int = 0
-    samples: int = 1001
-    omega_values: str | None = None
-    k_values: str | None = None
-    alpha_values: str | None = None
-    gamma_values: str | None = None
-    output: str | None = None
-    format: str = "csv"
+    Each field is one option; its annotation is the option's type, and the
+    fields are declared in the order --help lists them.
+    """
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise LienardError(f"option {field.name!r} must be finite, "
-                                   f"got {value}")
+    omega: float = _option(1.0, "angular frequency (> 0)")
+    k: float = _option(1.0, "deformation strength (>= 0)")
+    hbar: float = _option(1.0, "action scale (> 0)")
+    alpha: float = _option(0.0, "ordering exponent alpha")
+    gamma: float = _option(0.0, "ordering exponent gamma")
+    n_max: int = _option(5, "highest level index")
+    output: str | None = _option(None, "output file path")
+    format: str = _option("csv", "output format (default csv)")
+    k_sequence: str = _option("0.1,0.01,0.001",
+                              "comma-separated decreasing k values")
+    a_values: str = _option("1e2,1e3,1e4,1e6", "comma-separated scale values "
+                            "for the polynomial and gamma studies")
+    amplitude: float = _option(0.5, "closed-form amplitude")
+    phase: float = _option(0.0, "closed-form phase")
+    t_end: float | None = _option(None, "integration time (default: one "
+                                  "period)")
+    step: float = _option(1e-3, "RK4 step")
+    level: int = _option(0, "level index n")
+    samples: int = _option(1001, "number of momentum samples")
+    omega_values: str | None = _option(None, "comma-separated omega list")
+    k_values: str | None = _option(None, "comma-separated k list")
+    alpha_values: str | None = _option(None, "comma-separated alpha list")
+    gamma_values: str | None = _option(None, "comma-separated gamma list")
 
     def phys(self):
         return PhysicalParams(omega=self.omega, k=self.k, hbar=self.hbar)
@@ -67,10 +75,24 @@ class RunConfig:
     def amb(self):
         return AmbiguityParams(alpha=self.alpha, gamma=self.gamma)
 
-    def echo(self):
-        keys = ("omega", "k", "hbar", "alpha", "gamma", "n_max",
-                "grid_n", "y_max", "h_p")
-        return {k: getattr(self, k) for k in keys}
+
+_PHYSICAL = ("omega", "k", "hbar", "alpha", "gamma")
+
+# subcommand -> (help, the RunConfig fields it reads). Each field is one
+# --flag of the subcommand, besides --config, --output and --format, and
+# one key of its JSON meta.params.
+_OPTIONS = {
+    "classical": ("RK4 trajectory vs closed form",
+                  ("omega", "k", "amplitude", "phase", "t_end", "step")),
+    "spectrum": ("bound-state energies", (*_PHYSICAL, "n_max")),
+    "wavefn": ("sampled eigenfunction", (*_PHYSICAL, "level", "samples")),
+    "verify": ("run the verification suite", _PHYSICAL),
+    "limit": ("no-deformation limit studies",
+              ("omega", "hbar", "n_max", "k_sequence", "a_values")),
+    "sweep": ("parameter sweep of derived quantities",
+              (*_PHYSICAL, "omega_values", "k_values", "alpha_values",
+               "gamma_values")),
+}
 
 
 _FLOAT_CELL = "%.17g"  # 17 significant digits: every float64 round-trips
@@ -144,11 +166,13 @@ def _check_rows(count, what):
         raise LienardError(f"{what} would give more than {MAX_ROWS} output rows")
 
 
-def _out_path(config, name):
-    if config.output:
-        return config.output
-    outdir = os.environ.get("LIENARDQM_OUTDIR", ".")
-    return os.path.join(outdir, f"{name}.{config.format}")
+def _write(config, command, columns, rows):
+    """Write a subcommand's table to --output, or to <command>.<format> in
+    LIENARDQM_OUTDIR, echoing the options the subcommand reads."""
+    path = config.output or os.path.join(
+        os.environ.get("LIENARDQM_OUTDIR", "."), f"{command}.{config.format}")
+    params = {name: getattr(config, name) for name in _OPTIONS[command][1]}
+    return write_output(path, columns, rows, params, config.format)
 
 
 def _parse_floats(text, key):
@@ -178,9 +202,8 @@ def cmd_classical(config):
                                         traj.times)
     rows = np.column_stack((traj.times, traj.positions, exact,
                             np.abs(traj.positions - exact)))
-    path = write_output(_out_path(config, "classical"),
-                        ("t", "x_numeric", "x_analytic", "abs_err"),
-                        rows, config.echo(), config.format)
+    path = _write(config, "classical",
+                  ("t", "x_numeric", "x_analytic", "abs_err"), rows)
     # nanmax, like max() over the rows: the first row's error is finite
     print(f"classical: {len(rows)} samples, max |x_num - x_exact| = "
           f"{np.nanmax(rows[:, 3]):.3e} -> {path}")
@@ -193,9 +216,8 @@ def cmd_spectrum(config):
     table = susy.spectrum(phys, config.amb(), config.n_max)
     hw = phys.hbar_omega
     rows = [(n, e, e / hw) for n, e in table.levels()]
-    path = write_output(_out_path(config, "spectrum"),
-                        ("n", "energy", "hbar_omega_units"),
-                        rows, config.echo(), config.format)
+    path = _write(config, "spectrum", ("n", "energy", "hbar_omega_units"),
+                  rows)
     print(f"spectrum: {len(rows)} levels, e_0 = {rows[0][1]:.17g} -> {path}")
     return 0
 
@@ -219,22 +241,17 @@ def cmd_wavefn(config):
         y = np.full_like(p, math.nan)
     values = wavefn.psi(phys, derived, n, p)
     rows = np.column_stack((p, y, values))
-    path = write_output(_out_path(config, "wavefn"), ("p", "y", "psi"),
-                        rows, {**config.echo(), "level": n}, config.format)
+    path = _write(config, "wavefn", ("p", "y", "psi"), rows)
     print(f"wavefn: level {n}, {len(rows)} samples -> {path}")
     return 0
 
 
 def cmd_verify(config):
-    records = checks.run_suite(config.phys(), config.amb(),
-                               grid_n=config.grid_n, y_max=config.y_max,
-                               h_p=config.h_p)
+    records = checks.run_suite(config.phys(), config.amb())
     rows = [(r.name, r.params, r.measured, r.expected, r.tolerance, r.passed)
             for r in records]
-    path = write_output(_out_path(config, "verify"),
-                        ("check", "params", "measured", "expected",
-                         "tolerance", "pass"),
-                        rows, config.echo(), config.format)
+    path = _write(config, "verify", ("check", "params", "measured",
+                                     "expected", "tolerance", "pass"), rows)
     width = max(len(r.name) for r in records)
     for r in records:
         verdict = "pass" if r.passed else "FAIL"
@@ -248,6 +265,9 @@ def cmd_verify(config):
 def cmd_limit(config):
     if config.n_max < 0:
         raise LienardError(f"option 'n_max' must be >= 0, got {config.n_max}")
+    if config.n_max > 5:
+        raise LienardError(f"option 'n_max' must be in 0..5, the levels of "
+                           f"the Laguerre-Hermite study, got {config.n_max}")
     phys = config.phys()
     rows = []
     k_seq = _parse_floats(config.k_sequence, "k_sequence")
@@ -259,14 +279,12 @@ def cmd_limit(config):
     for n in range(min(config.n_max, 3) + 1):
         for k, dev in wavefn.limit_deviation(n, k_seq, base):
             rows.append(("wavefn-deviation", n, k, dev))
-    for n in range(min(config.n_max, 5) + 1):
+    for n in range(config.n_max + 1):
         for a, _, _, dev in wavefn.laguerre_hermite_limit(n, 1.0, a_values):
             rows.append(("laguerre-hermite", n, a, dev))
     for a, n, err in wavefn.gamma_asymptotic_check([a for a in a_values if a >= 10.0]):
         rows.append(("gamma-asymptotic", n, a, err))
-    path = write_output(_out_path(config, "limit"),
-                        ("study", "n", "scale", "value"),
-                        rows, config.echo(), config.format)
+    path = _write(config, "limit", ("study", "n", "scale", "value"), rows)
     print(f"limit: {len(rows)} rows -> {path}")
     return 0
 
@@ -295,10 +313,8 @@ def cmd_sweep(config):
     points = itertools.product(*axes, (config.hbar,))
     rows = np.array(sorted(map(_sweep_point, points),
                            key=lambda r: r[:4]))  # axes may come unsorted
-    path = write_output(_out_path(config, "sweep"),
-                        ("omega", "k", "alpha", "gamma", "a_script",
-                         "lambda", "shift", "e0"),
-                        rows, config.echo(), config.format)
+    path = _write(config, "sweep", ("omega", "k", "alpha", "gamma",
+                                    "a_script", "lambda", "shift", "e0"), rows)
     print(f"sweep: {len(rows)} parameter points -> {path}")
     return 0
 
@@ -313,29 +329,15 @@ _COMMANDS = {
 }
 
 
-_PARAMETER_FLAGS = {
-    "omega": (float, "angular frequency (> 0)"),
-    "k": (float, "deformation strength (>= 0)"),
-    "hbar": (float, "action scale (> 0)"),
-    "alpha": (float, "ordering exponent alpha"),
-    "gamma": (float, "ordering exponent gamma"),
-    "n_max": (int, "highest level index"),
-}
+def _kind(field):
+    """The type of a RunConfig field, without the None of an unset one."""
+    return get_args(field.type)[0] if field.default is None else field.type
 
 
-def _add_command(sub, name, text, *flags):
-    """A subcommand taking --config, --output, --format and the named
-    _PARAMETER_FLAGS; no option may be abbreviated."""
-    parser = sub.add_parser(name, help=text, allow_abbrev=False)
-    parser.add_argument("--config", help="JSON file with default option values")
-    for flag in flags:
-        kind, flag_help = _PARAMETER_FLAGS[flag]
-        parser.add_argument("--" + flag.replace("_", "-"), type=kind,
-                            help=flag_help)
-    parser.add_argument("--output", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="output format (default csv)")
-    return parser
+def _fields(command):
+    """The RunConfig fields a subcommand reads, in declaration order."""
+    names = {*_OPTIONS[command][1], "output", "format"}
+    return [field for field in fields(RunConfig) if field.name in names]
 
 
 def build_parser():
@@ -345,38 +347,15 @@ def build_parser():
                     "spectrum, eigenfunctions, and verification suites.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    physical = ("omega", "k", "hbar", "alpha", "gamma")
-
-    p = _add_command(sub, "classical", "RK4 trajectory vs closed form",
-                     "omega", "k")
-    p.add_argument("--amplitude", type=float, help="closed-form amplitude")
-    p.add_argument("--phase", type=float, help="closed-form phase")
-    p.add_argument("--t-end", type=float,
-                   help="integration time (default: one period)")
-    p.add_argument("--step", type=float, help="RK4 step")
-
-    _add_command(sub, "spectrum", "bound-state energies", *physical, "n_max")
-
-    p = _add_command(sub, "wavefn", "sampled eigenfunction", *physical)
-    p.add_argument("--level", type=int, help="level index n")
-    p.add_argument("--samples", type=int, help="number of momentum samples")
-
-    p = _add_command(sub, "verify", "run the verification suite", *physical)
-    p.add_argument("--grid-n", type=int, help="eigensolver grid points")
-    p.add_argument("--y-max", type=float, help="eigensolver domain cutoff")
-    p.add_argument("--h-p", type=float,
-                   help="momentum grid spacing for operator checks")
-
-    p = _add_command(sub, "limit", "no-deformation limit studies",
-                     "omega", "hbar", "n_max")
-    p.add_argument("--k-sequence", help="comma-separated decreasing k values")
-    p.add_argument("--a-values", help="comma-separated scale values for the "
-                                      "polynomial and gamma studies")
-
-    p = _add_command(sub, "sweep", "parameter sweep of derived quantities",
-                     *physical)
-    for name in ("omega", "k", "alpha", "gamma"):
-        p.add_argument(f"--{name}-values", help=f"comma-separated {name} list")
+    for command, (text, _) in _OPTIONS.items():
+        # no option may be abbreviated
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON file with default option values")
+        for field in _fields(command):
+            p.add_argument("--" + field.name.replace("_", "-"),
+                           type=_kind(field), help=field.metadata["help"],
+                           choices=("csv", "json") if field.name == "format"
+                           else None)
     return parser
 
 
@@ -384,7 +363,7 @@ def _checked(field, value):
     """value if its JSON type fits the RunConfig field: an int fits a float
     field, a bool no numeric one, and null only one whose default is None."""
     nullable = field.default is None
-    kind = get_args(field.type)[0] if nullable else field.type
+    kind = _kind(field)
     if (value is None and nullable or type(value) is kind
             or kind is float and type(value) is int):
         return value
@@ -393,9 +372,14 @@ def _checked(field, value):
 
 
 def load_config(args):
-    """Merge flags over config-file values over defaults into a RunConfig."""
+    """Merge flags over config-file values over defaults into a RunConfig.
+
+    Every config key must name an option, have its type and be finite, but
+    only the keys the subcommand reads are merged: a shared file may hold
+    keys of other subcommands, whose values are then not range-checked.
+    """
     known = {field.name: field for field in fields(RunConfig)}
-    merged = {}
+    given = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -408,11 +392,16 @@ def load_config(args):
         if unknown := set(from_file) - set(known):
             raise LienardError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-        merged = {key: _checked(known[key], value)
-                  for key, value in from_file.items()}
-    merged.update((name, getattr(args, name)) for name in known
-                  if getattr(args, name, None) is not None)
-    return RunConfig(**merged)
+        given = {key: _checked(known[key], value)
+                 for key, value in from_file.items()}
+    given.update((name, value) for name, value in vars(args).items()
+                 if name in known and value is not None)
+    for name, value in given.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise LienardError(f"option {name!r} must be finite, got {value}")
+    read = {field.name for field in _fields(args.command)}
+    return RunConfig(**{name: value for name, value in given.items()
+                        if name in read})
 
 
 def main(argv=None):

@@ -233,6 +233,9 @@ def test_sigma_roots():
     assert roots[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
     roots2 = jlm_sigma_roots(PhysicalParams(omega=2.3, k=0.7))
     assert roots2 == pytest.approx(roots)
+    # the roots do not depend on omega: no grid check that rounding defeats
+    # at large omega stands between them and the caller
+    assert jlm_sigma_roots(PhysicalParams(omega=30, k=1)) == roots
 
 
 def test_sigma_condition_residual():

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lienardqm import __version__
-from lienardqm.cli import main, write_output
+from lienardqm import __version__, checks
+from lienardqm.cli import build_parser, main, write_output
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
 
 
@@ -47,6 +47,9 @@ def test_unknown_flag_exits_2():
     "limit --k 1", "limit --alpha 5", "limit --gamma 2", "sweep --n-max 9",
     # no option may be abbreviated: limit --k above is not --k-sequence
     "spectrum --om 2", "limit --k-seq 0.1",
+    # verify works out its own grids
+    "verify --h-p 0", "verify --h-p -1", "verify --h-p 1e-9", "verify --h-p 10",
+    "verify --grid-n 100000000", "verify --grid-n 499 --y-max 150",
 ])
 def test_unread_option_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
@@ -196,6 +199,39 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert main(["spectrum", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("argv, payload, code", [
+    ("classical", {"hbar": 0}, 0),
+    ("limit", {"k": -1}, 0),
+    ("spectrum", {"hbar": 0}, 2),
+    ("limit", {"grid_n": 6000}, 2),
+], ids=["classical-unread-hbar", "limit-unread-k", "spectrum-read-hbar",
+        "removed-key"])
+def test_config_keys_range_checked_only_where_read(tmp_path, argv, payload,
+                                                   code):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "o.csv"
+    assert main([argv, "--config", str(config), "--output", str(out)]) == code
+    assert out.exists() == (code == 0)
+
+
+def _flags(command):
+    """The options a subcommand accepts besides --config, --output, --format."""
+    sub = next(action for action in build_parser()._actions
+               if action.dest == "command").choices[command]
+    names = {action.dest for action in sub._actions if action.option_strings}
+    return names - {"help", "config", "output", "format"}
+
+
+@pytest.mark.parametrize("command", ["classical", "spectrum", "wavefn",
+                                     "verify", "limit", "sweep"])
+def test_json_echo_holds_exactly_the_accepted_flags(tmp_path, command):
+    out = tmp_path / "o.json"
+    assert main([command, "--format", "json", "--output", str(out)]) == 0
+    params = json.loads(_read(out))["meta"]["params"]
+    assert set(params) == _flags(command)
+
+
 @pytest.mark.parametrize("payload, code, named", [
     ({"omega": "1"}, 2, "'omega'"),
     ({"omega": True}, 2, "'omega'"),
@@ -204,7 +240,7 @@ def test_config_file_unknown_key_rejected(tmp_path):
     ({"alpha": None}, 2, "'alpha'"),
     ({"format": 1}, 2, "'format'"),
     (["omega"], 2, "JSON object"),
-    ({"omega": 2, "n_max": 1, "y_max": None, "output": None}, 0, None),
+    ({"omega": 2, "n_max": 1, "t_end": None, "output": None}, 0, None),
 ], ids=["str-for-float", "bool-for-float", "bool-for-int", "float-for-int",
         "null-for-float", "int-for-str", "not-an-object", "accepted"])
 def test_config_file_value_types(tmp_path, capsys, payload, code, named):
@@ -228,7 +264,7 @@ def test_config_file_value_types(tmp_path, capsys, payload, code, named):
     ("sweep --k-values nan,1", None, "'k_values'"),
     ("limit --a-values 1e2,inf", None, "'a_values'"),
     ("spectrum", '{"omega": NaN}', "'omega'"),
-    ("verify", '{"y_max": -Infinity}', "'y_max'"),
+    ("verify", '{"t_end": -Infinity}', "'t_end'"),
 ], ids=["spectrum-k", "spectrum-alpha", "classical-amplitude",
         "classical-phase", "classical-t-end", "sweep-k-values",
         "limit-a-values", "config-nan", "config-infinity"])
@@ -253,19 +289,18 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("classical --step 3 --t-end 300", "step 3.0"),
     ("limit --a-values -1", "'a_values' must hold numbers > 0"),
     ("limit --n-max -1 --a-values 1", "option 'n_max' must be >= 0, got -1"),
-    ("verify --h-p 0", "h_p must be > 0"),
-    ("verify --h-p -1", "h_p must be > 0"),
     ("verify --k 0", "`spectrum`, `wavefn` and `limit`"),
     ("verify --omega 1e50", "omega = 1e+50 is too large for verify: its "
                             "one-period span 6.28e-50"),
     ("wavefn --samples 0", "'samples' must be >= 2"),
     ("wavefn --samples -3", "'samples' must be >= 2"),
-    ("verify --h-p 1e-9", "h_p = 1e-09 is outside [3.46e-05, 2.31]"),
-    ("verify --h-p 10", "h_p = 10.0 is outside [3.46e-05, 2.31]"),
-    ("verify --grid-n 100000000", "grid_n = 100000000 is outside 500..1000000"),
-    ("verify --grid-n 499 --y-max 150", "grid_n = 499 is outside 500..1000000"),
-    ("verify --k 0.01", "lam = 90000, set by omega, k, hbar and alpha*gamma, "
-                        "needs an eigensolver grid of 1.8e+07 points"),
+    ("verify --omega 50 --k 1 --hbar 1e4", "omega = 50, k = 1, hbar = 10000 "
+                                           "and alpha*gamma = 0 give the "
+                                           "operator checks a momentum window"),
+    ("verify --k 0.01", "lam = 90000, set by omega = 1, k = 0.01, hbar = 1 "
+                        "and alpha*gamma = 0, needs an eigensolver grid of "
+                        "1.8e+07 points"),
+    ("limit --n-max 6", "option 'n_max' must be in 0..5"),
     ("spectrum --n-max 100000000", "option 'n_max' = 100000000 would give "
                                    "more than 1000000 output rows"),
     ("spectrum --n-max 1000000", "option 'n_max' = 1000000 would give"),
@@ -281,10 +316,10 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
      "would give more than 1000000 output rows"),
 ], ids=["omega-cubed-overflows", "a-script-squared-overflows",
         "k-squared-underflows", "lam-overflows", "unstable-step",
-        "limit-a-values", "limit-n-max-negative", "verify-h-p-zero", "verify-h-p-negative",
-        "verify-k-zero", "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
-        "wavefn-samples-negative", "verify-h-p-tiny", "verify-h-p-huge",
-        "verify-grid-n-huge", "verify-grid-n-small", "verify-lam-grid-huge",
+        "limit-a-values", "limit-n-max-negative", "verify-k-zero",
+        "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
+        "wavefn-samples-negative", "verify-operator-window-huge",
+        "verify-lam-grid-huge", "limit-n-max-over-5",
         "spectrum-n-max-huge", "spectrum-n-max-one-over", "classical-step-tiny",
         "classical-one-row-over", "wavefn-samples-huge", "sweep-axes-huge"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
@@ -367,7 +402,7 @@ def test_sweep_invalid_tuple_exit_2(tmp_path):
     assert code == 2
 
 
-def test_verify_passes_and_fails_by_exit_code(tmp_path):
+def test_verify_passes_and_fails_by_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "verify.csv"
     code = main(["verify", "--omega", "1", "--k", "1", "--alpha", "19",
                  "--gamma", "1", "--output", str(out)])
@@ -376,7 +411,7 @@ def test_verify_passes_and_fails_by_exit_code(tmp_path):
     assert lines[0] == "check,params,measured,expected,tolerance,pass"
     assert all(line.endswith(",true") for line in lines[1:])
     # a deliberately coarse momentum step blows the eigenrelation tolerance
+    monkeypatch.setattr(checks, "_OPERATOR_SPACING", 0.05)
     code = main(["verify", "--omega", "1", "--k", "1", "--alpha", "19",
-                 "--gamma", "1", "--h-p", "0.05",
-                 "--output", str(tmp_path / "verify_fail.csv")])
+                 "--gamma", "1", "--output", str(tmp_path / "verify_fail.csv")])
     assert code == 1

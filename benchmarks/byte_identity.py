@@ -54,6 +54,9 @@ CASES = {
     "verify-h-p": "verify --h-p 0",
     "limit-n-max-6": "limit --n-max 6",
     "verify-operator-window": "verify --omega 50 --k 1 --hbar 1e4",
+    "verify-k1.5": "verify --k 1.5",
+    "verify-lam-4860": "verify --omega 30 --k 1 --hbar 50",
+    "wavefn-level-200": "wavefn --level 200",
 }
 
 

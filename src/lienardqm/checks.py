@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, eigensolver, quantize, susy, wavefn
-from .errors import ConstraintViolationError
+from .errors import ConstraintViolationError, DomainError
 from .params import (AmbiguityParams, PhysicalParams, derive_params,
                      momentum_domain)
 
@@ -216,8 +216,14 @@ def _operator_checks(phys, amb, grid):
     worst = 0.0
     for n in range(3):
         values = wavefn.psi(phys, derived, n, grid.points)
-        h_psi = quantize.apply_hamiltonian_fd(phys, amb, grid,
-                                              quantize.SampledFunction(grid, values))
+        try:
+            h_psi = quantize.apply_hamiltonian_fd(
+                phys, amb, grid, quantize.SampledFunction(grid, values))
+        except DomainError as exc:
+            raise ConstraintViolationError(
+                f"lam = {derived.lam:.6g}, set by {_inputs(phys, amb)}, leaves "
+                f"psi_{n} above 1e-8 of its peak at an end of the operator "
+                f"checks' momentum window (psi_2's support window)") from exc
         resid = np.max(np.abs(h_psi.values - table.energies[n] * values[1:-1]))
         worst = max(worst, resid)
     rows.append(ReportRecord.from_absolute(
@@ -295,8 +301,9 @@ def run_suite(phys, amb):
 
     The checks need the deformed oscillator (k > 0) and an omega the RK4
     step resolves. The parameters set both grids, and each must stay within
-    its size bound (_operator_grid, _eigensolver_grid). Anything else is
-    rejected before any check runs or any grid is allocated.
+    its size bound (_operator_grid, _eigensolver_grid). Those inputs are
+    rejected before any check runs; a state that does not vanish at the
+    ends of the operator checks' window is rejected once it is sampled.
     """
     if not phys.is_deformed:
         raise ConstraintViolationError(

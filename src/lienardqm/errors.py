@@ -16,8 +16,8 @@ class ConstraintViolationError(LienardError):
 
 class DomainError(LienardError):
     """An argument lies outside the admissible domain of an operation
-    (momentum at or beyond the 3*omega**2/k bound, nonpositive log-gamma
-    argument, and similar)."""
+    (momentum at or beyond the 3*omega**2/k bound, samples that do not
+    vanish at the ends of a finite-difference grid, and similar)."""
 
 
 class AmplitudeRangeError(DomainError):

@@ -1,52 +1,12 @@
-"""Self-contained special functions: log-gamma, associated Laguerre and
-Hermite polynomials, and composite Gauss-Legendre quadrature.
-
-Everything here is dependency-free on purpose (numpy is used only as array
-plumbing): the rest of the package leans on these primitives for
-normalization constants, eigenfunction evaluation and integral oracles.
+"""Special functions that Python and numpy lack: associated Laguerre and
+Hermite polynomials, and a composite Gauss-Legendre rule on numpy's
+`leggauss`. Log-gamma is `math.lgamma`. The package uses these for
+eigenfunction evaluation and integral oracles.
 """
-
-import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-
-# Lanczos series, g = 4.7421875 (the 14-coefficient set, ~1e-15 relative
-# accuracy on Gamma over the positive axis).
-_LANCZOS_C0 = 0.999999999999997092
-_LANCZOS = (
-    57.1562356658629235, -59.5979603554754912,
-    14.1360979747417471, -0.491913816097620199,
-    0.339946499848118887e-4, 0.465236289270485756e-4,
-    -0.983744753048795646e-4, 0.158088703224912494e-3,
-    -0.210264441724104883e-3, 0.217439618115212643e-3,
-    -0.164318106536763890e-3, 0.844182239838527433e-4,
-    -0.261908384015814087e-4, 0.368991826595316234e-5,
-)
-_SQRT_2PI = 2.5066282746310005
-
-
-def log_gamma(x):
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    tmp = x + 5.24218750000000000
-    tmp = (x + 0.5) * math.log(tmp) - tmp
-    ser = _LANCZOS_C0
-    y = x
-    for c in _LANCZOS:
-        y += 1.0
-        ser += c / y
-    return tmp + math.log(_SQRT_2PI * ser / x)
-
-
-def log_factorial(n):
-    """log(n!) for integer n >= 0."""
-    if n < 0:
-        raise DomainError(f"log_factorial requires n >= 0, got {n}")
-    return log_gamma(n + 1.0)
 
 
 def laguerre_assoc(n, alpha, y):
@@ -82,38 +42,6 @@ def hermite(n, x):
     return cur if cur.ndim else float(cur)
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre(order):
-    """Gauss-Legendre nodes and weights on [-1, 1].
-
-    Newton iteration on the Legendre recurrence; symmetric to machine
-    precision. Returns immutable (nodes, weights) float tuples.
-    """
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
-    nodes = np.empty(order)
-    weights = np.empty(order)
-    m = (order + 1) // 2
-    for i in range(m):
-        # Tricomi initial guess for the i-th root of P_order.
-        z = math.cos(math.pi * (i + 0.75) / (order + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, z
-            for j in range(2, order + 1):
-                p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
-            dp = order * (z * p1 - p0) / (z * z - 1.0)
-            dz = p1 / dp
-            z -= dz
-            if abs(dz) < 1e-15:
-                break
-        nodes[i] = -z
-        nodes[order - 1 - i] = z
-        w = 2.0 / ((1.0 - z * z) * dp * dp)
-        weights[i] = w
-        weights[order - 1 - i] = w
-    return tuple(nodes), tuple(weights)
-
-
 def quadrature_nodes(y_max, panels, order):
     """Composite Gauss-Legendre rule on [0, y_max].
 
@@ -126,7 +54,9 @@ def quadrature_nodes(y_max, panels, order):
         raise ValueError(f"panels must be >= 1, got {panels}")
     if not 4 <= order <= 16:
         raise ValueError(f"order must be in 4..16, got {order}")
-    base_x, base_w = (np.asarray(v) for v in gauss_legendre(order))
+    # imported here so that loading the CLI does not load numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+    base_x, base_w = leggauss(order)
     width = y_max / panels
     starts = width * np.arange(panels)
     nodes = (starts[:, None] + 0.5 * width * (base_x[None, :] + 1.0)).ravel()

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DomainError, OverflowGuardError
 from .params import (AmbiguityParams, PhysicalParams, derive_params,
                      momentum_domain)
-from .specfun import (hermite, laguerre_assoc, log_factorial, log_gamma,
-                      quadrature_nodes, weighted_laguerre_cutoff)
+from .specfun import (hermite, laguerre_assoc, quadrature_nodes,
+                      weighted_laguerre_cutoff)
 
 _EXP_GUARD = 700.0  # exp() overflows just above 709
 
@@ -66,26 +66,34 @@ def norm_const_log(phys, derived, n):
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return 0.5 * (0.5 * math.log(derived.a_script / phys.hbar_omega)
-                  + math.log(2.0) + log_factorial(n)
-                  - log_gamma(2.0 * derived.lam + n + 1.0))
+                  + math.log(2.0) + math.lgamma(n + 1.0)
+                  - math.lgamma(2.0 * derived.lam + n + 1.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def psi(phys, derived, n, p):
     """Normalized eigenfunction at momentum p (scalar or array).
 
     Assembled as exp(log N_n + lam log y - y/2) * L_n^{2 lam}(y); the k = 0
-    branch returns the harmonic-oscillator function exactly.
+    branch returns the harmonic-oscillator function exactly. A result that
+    is not finite (the polynomial recurrence overflows at high levels)
+    raises OverflowGuardError instead of coming back as NaN.
     """
     if derived is None or not phys.is_deformed:
-        return lho_psi(phys, n, p)
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr >= derived.p_max):
-        raise DomainError(
-            f"momentum at or beyond the domain bound {derived.p_max}")
-    y = y_of_p(phys, derived, p_arr)
-    exponent = norm_const_log(phys, derived, n) + derived.lam * np.log(y) - 0.5 * y
-    out = _guarded_exp(exponent) * laguerre_assoc(n, 2.0 * derived.lam, y)
-    return out if out.ndim else float(out)
+        out, where = lho_psi(phys, n, p), "k = 0"
+    else:
+        p_arr = np.asarray(p, dtype=float)
+        if np.any(p_arr >= derived.p_max):
+            raise DomainError(
+                f"momentum at or beyond the domain bound {derived.p_max}")
+        y = y_of_p(phys, derived, p_arr)
+        exponent = norm_const_log(phys, derived, n) + derived.lam * np.log(y) - 0.5 * y
+        out = _guarded_exp(exponent) * laguerre_assoc(n, 2.0 * derived.lam, y)
+        where = f"lam = {derived.lam:.6g}"
+    if not np.all(np.isfinite(out)):
+        raise OverflowGuardError(f"psi_{n} is not finite at {where}: its "
+                                 f"polynomial recurrence overflows")
+    return out if np.ndim(out) else float(out)
 
 
 def lho_psi(phys, n, p):
@@ -94,7 +102,7 @@ def lho_psi(phys, n, p):
         raise ValueError(f"n must be >= 0, got {n}")
     hw = phys.hbar_omega
     p = np.asarray(p, dtype=float)
-    log_norm = -0.5 * (n * math.log(2.0) + log_factorial(n)
+    log_norm = -0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)
                        + 0.5 * math.log(math.pi * hw))
     out = np.exp(log_norm - p ** 2 / (2.0 * hw)) * hermite(n, p / math.sqrt(hw))
     return out if out.ndim else float(out)
@@ -154,7 +162,7 @@ def gamma_asymptotic_check(a_script_values):
             approx = ((n + 1) * math.log(2.0 * a)
                       + (2.0 * a - 0.5) * math.log(2.0 * a)
                       - 2.0 * a + 0.5 * math.log(2.0 * math.pi))
-            exact = log_gamma(2.0 * a + n + 1.0)
+            exact = math.lgamma(2.0 * a + n + 1.0)
             rows.append((a, n, abs(approx - exact) / abs(exact)))
     return rows
 

@@ -301,6 +301,12 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
                         "and alpha*gamma = 0, needs an eigensolver grid of "
                         "1.8e+07 points"),
     ("limit --n-max 6", "option 'n_max' must be in 0..5"),
+    ("verify --k 1.5", "lam = 4, set by omega = 1, k = 1.5, hbar = 1 and "
+                       "alpha*gamma = 0, leaves psi_0 above 1e-8"),
+    ("verify --alpha -80 --gamma 1", "lam = 1, set by omega = 1, k = 1, "
+                                     "hbar = 1 and alpha*gamma = -80, "
+                                     "leaves psi_0"),
+    ("wavefn --level 200", "psi_200 is not finite at lam = 9"),
     ("spectrum --n-max 100000000", "option 'n_max' = 100000000 would give "
                                    "more than 1000000 output rows"),
     ("spectrum --n-max 1000000", "option 'n_max' = 1000000 would give"),
@@ -319,7 +325,8 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
         "limit-a-values", "limit-n-max-negative", "verify-k-zero",
         "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
         "wavefn-samples-negative", "verify-operator-window-huge",
-        "verify-lam-grid-huge", "limit-n-max-over-5",
+        "verify-lam-grid-huge", "limit-n-max-over-5", "verify-lam-4-window",
+        "verify-lam-1-window", "wavefn-level-200",
         "spectrum-n-max-huge", "spectrum-n-max-one-over", "classical-step-tiny",
         "classical-one-row-over", "wavefn-samples-huge", "sweep-axes-huge"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
@@ -335,6 +342,18 @@ def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     assert not out.exists()
     # rejected before the sizes were allocated: a 1e8-point grid is 800 MB
     assert peak < 16 * 2 ** 20
+
+
+def test_verify_window_error_at_large_lam_names_its_inputs(tmp_path, capsys):
+    # the operator grid here (476,188 points) is inside its size bound, so
+    # it is built and psi_0 sampled on it before the window is found too
+    # narrow: unlike the rows above, this rejection follows an allocation
+    out = tmp_path / "o.csv"
+    assert main(["verify", "--omega", "30", "--k", "1", "--hbar", "50",
+                 "--output", str(out)]) == 2
+    assert ("lam = 4860, set by omega = 30, k = 1, hbar = 50 and "
+            "alpha*gamma = 0, leaves psi_0 above 1e-8") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -3,51 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lienardqm.errors import DomainError
-from lienardqm.specfun import (gauss_legendre, hermite, integrate_sampled,
-                               laguerre_assoc, log_gamma, quadrature_nodes,
-                               weighted_laguerre_cutoff)
-
-
-# ----------------------------------------------------------------- log_gamma
-
-def test_log_gamma_at_one_and_factorials():
-    assert abs(log_gamma(1.0)) < 1e-14
-    assert abs(log_gamma(2.0)) < 1e-14
-    # Gamma(n+1) = n!, factorial oracle
-    for n in range(1, 40):
-        assert log_gamma(n + 1.0) == pytest.approx(
-            math.log(math.factorial(n)), rel=1e-13)
-
-
-def test_log_gamma_half_integer_against_quadrature():
-    # integral of t^(-1/2) e^(-t) over (0, inf); substituting t = u^2 gives
-    # 2 * integral of e^(-u^2) du, a smooth integrand for the composite rule
-    val = integrate_sampled(lambda u: 2.0 * np.exp(-u * u), 12.0, 48, 10)
-    assert log_gamma(0.5) == pytest.approx(math.log(val), rel=1e-12)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-
-
-def test_log_gamma_functional_equation():
-    # beyond x ~ 1e3 the subtraction of two O(x log x) values hits the
-    # double-precision floor, so the 1e-12 recurrence check stops there;
-    # large arguments are covered by the sum-of-logs oracle below
-    for x in (0.3, 1.0, 2.5, 7.0, 19.0, 123.4, 1e3):
-        lhs = log_gamma(x + 1.0) - log_gamma(x)
-        assert lhs == pytest.approx(math.log(x), rel=1e-12, abs=1e-12)
-
-
-def test_log_gamma_large_argument_sum_of_logs_oracle():
-    for n in (171, 2001, 20001):
-        exact = math.fsum(math.log(j) for j in range(1, n))  # log((n-1)!)
-        assert log_gamma(float(n)) == pytest.approx(exact, rel=1e-14)
-
-
-def test_log_gamma_domain_error():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-3.2)
+from lienardqm.specfun import (hermite, integrate_sampled, laguerre_assoc,
+                               quadrature_nodes, weighted_laguerre_cutoff)
 
 
 # ------------------------------------------------------------------ Laguerre
@@ -60,7 +17,8 @@ def _laguerre_series(n, alpha, y):
     total = 0.0
     magnitude = 0.0
     for m in range(n + 1):
-        coef = math.exp(log_gamma(n + alpha + 1.0) - log_gamma(m + alpha + 1.0)
+        coef = math.exp(math.lgamma(n + alpha + 1.0)
+                        - math.lgamma(m + alpha + 1.0)
                         - math.lgamma(n - m + 1.0) - math.lgamma(m + 1.0))
         term = (-1.0) ** m * coef * y ** m
         total += term
@@ -122,14 +80,14 @@ def test_laguerre_orthogonality_by_quadrature():
         log_weight = alpha * np.log(nodes) - nodes
         vals = np.array([laguerre_assoc(n, alpha, nodes) for n in range(7)])
         for n in range(7):
-            norm_n = math.exp(log_gamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
+            norm_n = math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
             for m in range(n, 7):
                 integral = float(np.sum(
                     weights * np.exp(log_weight) * vals[n] * vals[m]))
                 if m == n:
                     assert integral == pytest.approx(norm_n, rel=1e-8)
                 else:
-                    norm_m = math.exp(log_gamma(m + alpha + 1.0)
+                    norm_m = math.exp(math.lgamma(m + alpha + 1.0)
                                       - math.lgamma(m + 1.0))
                     assert abs(integral) / math.sqrt(norm_n * norm_m) < 1e-8
 
@@ -169,6 +127,14 @@ def test_hermite_orthogonality_by_quadrature():
 
 # ---------------------------------------------------------------- quadrature
 
+def test_log_gamma_half_integer_against_quadrature():
+    # integral of t^(-1/2) e^(-t) over (0, inf) is Gamma(1/2) = sqrt(pi);
+    # substituting t = u^2 gives 2 * integral of e^(-u^2) du, a smooth
+    # integrand for the composite rule
+    val = integrate_sampled(lambda u: 2.0 * np.exp(-u * u), 12.0, 48, 10)
+    assert val == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+
+
 def test_quadrature_exponential_closed_form():
     val = integrate_sampled(lambda y: np.exp(-y), 40.0, 64, 8)
     assert val == pytest.approx(1.0 - math.exp(-40.0), abs=1e-12)
@@ -186,7 +152,7 @@ def test_quadrature_weighted_laguerre_norm_against_gamma():
     # integral of y^18 e^-y (L_0^18)^2 over [0, 200] is Gamma(19)
     lam = 9.0
     val = integrate_sampled(lambda y: np.exp(2 * lam * np.log(y) - y), 200.0, 64, 10)
-    assert val == pytest.approx(math.exp(log_gamma(2 * lam + 1.0)), rel=1e-10)
+    assert val == pytest.approx(math.exp(math.lgamma(2 * lam + 1.0)), rel=1e-10)
 
 
 def test_quadrature_parameter_validation():
@@ -201,9 +167,11 @@ def test_quadrature_parameter_validation():
 
 
 def test_gauss_legendre_exact_for_polynomials():
-    # order-n rule integrates degree 2n-1 exactly
-    nodes, weights = (np.asarray(v) for v in gauss_legendre(6))
+    # one panel of the order-6 rule on [0, 2] integrates degree <= 11
+    # exactly; in u = y - 1 the exact moments over [-1, 1] are
+    # (1 - (-1)^(deg + 1)) / (deg + 1)
+    nodes, weights = quadrature_nodes(2.0, 1, 6)
     for deg in range(12):
         exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
-        assert float(np.sum(weights * nodes ** deg)) == pytest.approx(
+        assert float(np.sum(weights * (nodes - 1.0) ** deg)) == pytest.approx(
             exact, abs=1e-14)

@@ -7,8 +7,9 @@ from lienardqm.errors import DomainError, OverflowGuardError
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
 from lienardqm.specfun import hermite, quadrature_nodes
 from lienardqm.wavefn import (gamma_asymptotic_check, laguerre_hermite_limit,
-                              lho_psi, limit_deviation, overlap_matrix,
-                              p_of_y, psi, support_window, y_of_p)
+                              lho_psi, limit_deviation, norm_const_log,
+                              overlap_matrix, p_of_y, psi, support_window,
+                              y_of_p)
 
 PHYS = PhysicalParams(omega=1.0, k=1.0)
 HARMONIC = PhysicalParams(omega=1.0, k=0.0)
@@ -183,6 +184,34 @@ def test_overflow_guard():
         _guarded_exp(701.0)
     with pytest.raises(OverflowGuardError):
         _guarded_exp(np.array([0.0, 800.0]))
+
+
+def test_norm_const_log_against_sum_of_logs():
+    # omega = k = hbar = 1 and alpha*gamma = 19 give a_script = 9 and
+    # lam = sqrt(81 + 19) = 10 exactly, so N_n^2 = sqrt(9) * 2 n! / (20 + n)!
+    derived = derive_params(PHYS, AMB19)
+    assert derived.lam == 10.0
+    for n in range(5):
+        log_fact = math.fsum(math.log(j) for j in range(1, n + 1))
+        log_gamma = math.fsum(math.log(j) for j in range(1, 21 + n))
+        exact = 0.5 * (0.5 * math.log(9.0) + math.log(2.0) + log_fact
+                       - log_gamma)
+        assert norm_const_log(PHYS, derived, n) == pytest.approx(exact,
+                                                                 rel=1e-14)
+
+
+def test_psi_refuses_to_return_an_overflowed_recurrence():
+    # at level 200 the Laguerre recurrence overflows to inf where the
+    # exponential factor is 0, which would give NaN samples
+    derived = derive_params(PHYS, AMB0)
+    lo, hi = support_window(PHYS, derived, 200)
+    with pytest.raises(OverflowGuardError, match="psi_200 .* lam = 9"):
+        psi(PHYS, derived, 200, np.linspace(lo, hi, 101))
+    with pytest.raises(OverflowGuardError, match="psi_400 .* k = 0"):
+        psi(HARMONIC, None, 400, np.linspace(-6.0, 6.0, 101))
+    lo, hi = support_window(PHYS, derived, 150)
+    assert np.all(np.isfinite(psi(PHYS, derived, 150,
+                                  np.linspace(lo, hi, 101))))
 
 
 def test_extreme_deformation_scale_stays_in_range():

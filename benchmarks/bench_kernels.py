@@ -17,10 +17,10 @@ import numpy as np
 
 from lienardqm.eigensolver import YGrid, build_operator, lowest_eigenvalues
 from lienardqm.kernels import BACKEND, pykernels
-from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
+from lienardqm.params import AmbiguityParams, PhysicalParams
 
 PHYS = PhysicalParams(omega=1.0, k=1.0)
-DERIVED = derive_params(PHYS, AmbiguityParams(alpha=19.0, gamma=1.0))
+AMB = AmbiguityParams(alpha=19.0, gamma=1.0)
 
 
 def _time(fn, repeats):
@@ -33,7 +33,7 @@ def _time(fn, repeats):
 
 
 def bench_sturm(backend, n_points, repeats=20):
-    op = build_operator(PHYS, DERIVED, YGrid(y_max=150.0, n_points=n_points))
+    op = build_operator(PHYS, AMB, YGrid(y_max=150.0, n_points=n_points))
     diag = np.asarray(op.diagonal)
     off = np.asarray(op.off_diagonal)
     return _time(lambda: backend.sturm_count(diag, off, 3.75), repeats)
@@ -47,7 +47,7 @@ def bench_rk4(backend, steps, repeats=5):
 
 def bench_pipeline(n_points, repeats=3):
     # full 4-eigenvalue bisection with whichever backend is active
-    op = build_operator(PHYS, DERIVED, YGrid(y_max=150.0, n_points=n_points))
+    op = build_operator(PHYS, AMB, YGrid(y_max=150.0, n_points=n_points))
     return _time(lambda: lowest_eigenvalues(op, 4), repeats)
 
 

@@ -57,6 +57,8 @@ CASES = {
     "verify-k1.5": "verify --k 1.5",
     "verify-lam-4860": "verify --omega 30 --k 1 --hbar 50",
     "wavefn-level-200": "wavefn --level 200",
+    "limit-a-1e154": "limit --a-values 1e154",
+    "wavefn-hbar-1e200": "wavefn --hbar 1e200",
 }
 
 

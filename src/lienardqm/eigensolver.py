@@ -1,20 +1,12 @@
-"""Independent spectral oracle on the half-line.
+"""Independent spectral oracle: the momentum-space Hamiltonian as a matrix.
 
-The variable change y = 2 a_script (1 - p / sqrt(a_script hbar omega)) maps
-the momentum domain onto y in (0, inf) and brings the Hamiltonian to
-
-    H = -hbar omega (y d^2/dy^2 + d/dy - lam^2/y - y/4 + a_script),
-
-whose divergence form -hbar omega [d/dy (y d/dy) - lam^2/y - y/4 + a_script]
-is discretized conservatively on a uniform grid with Dirichlet ends:
-
-    off_i  = -hbar omega * y_{i+1/2} / h^2
-    diag_i =  hbar omega * [(y_{i-1/2} + y_{i+1/2}) / h^2
-                            + lam^2 / y_i + y_i / 4 - a_script]
-
-The matrix is symmetric by construction with negative off-diagonals; its
-lowest eigenvalues are extracted by Sturm-count bisection and compared with
-the algebraic levels (n + 1/2 + lam - a_script) hbar omega.
+Grid points y in (0, y_max) stand for the momenta
+p = p_max - y hbar omega / (2 p_max), with y = 0 at the domain bound. On
+them quantize.hamiltonian_stencil, the stencil apply_hamiltonian_fd
+applies, gives a symmetric tridiagonal matrix with Dirichlet ends, built
+from 1 - q and V alone, never from lam or a_script. Its lowest eigenvalues
+are extracted by Sturm-count bisection and compared with the algebraic
+levels (n + 1/2 + lam - a_script) hbar omega.
 
 verify_spectrum solves a pilot grid, grid N and grid 2N + 1, coarse to
 fine. Each grid's bisection is given probes: Sturm counts taken first at
@@ -32,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, quantize
 from .errors import ConvergenceError
+from .params import momentum_domain
 from .susy import spectrum
 
 BISECTION_TOL = 1e-10
@@ -108,19 +101,13 @@ class TridiagonalOperator:
                 float(np.max(self.diagonal + radius)))
 
 
-def build_operator(phys, derived, grid):
-    """Discretize the y-space Hamiltonian on the grid (requires lam > 0)."""
-    if not derived.lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {derived.lam}")
-    hw = phys.hbar_omega
-    h = grid.spacing
-    y = grid.points
-    half_lo = y - 0.5 * h
-    half_hi = y + 0.5 * h
-    diag = hw * ((half_lo + half_hi) / h ** 2
-                 + derived.lam ** 2 / y + y / 4.0 - derived.a_script)
-    off = -hw * half_hi[:-1] / h ** 2
-    return TridiagonalOperator(diagonal=diag, off_diagonal=off)
+def build_operator(phys, amb, grid):
+    """hamiltonian_stencil on the grid's momenta, passed in ascending p."""
+    p_max = momentum_domain(phys)
+    scale = phys.hbar_omega / (2.0 * p_max)  # |dp/dy|
+    diag, couplings = quantize.hamiltonian_stencil(
+        phys, amb, p_max - scale * grid.points[::-1], scale * grid.spacing)
+    return TridiagonalOperator(diagonal=diag, off_diagonal=couplings[1:-1])
 
 
 def _record_count(op, shift, below, above):
@@ -261,7 +248,7 @@ def verify_spectrum(phys, amb, n_max, grid):
         grids.insert(0, YGrid(y_max=grid.y_max, n_points=pilot_points))
     solved = []
     for g in grids:
-        op = build_operator(phys, table.derived, g)
+        op = build_operator(phys, amb, g)
         probes = _probes(phys.hbar_omega, solved, g, op)
         solved.append((g, lowest_eigenvalues(op, n_max + 1, probes)))
     return SpectrumComparison(analytic=table.energies,

@@ -117,8 +117,8 @@ def deformation_factor(phys, p):
 def derive_params(phys, amb):
     """Build DerivedParams; requires k > 0 and alpha*gamma > -a_script^2.
 
-    a_script and lam must also come out finite and > 0 in floating point;
-    extreme omega, k or hbar that overflow or underflow them are rejected.
+    a_script and lam must also come out finite and > 0, and a_script^2 a
+    normal float; extreme omega, k or hbar that break this are rejected.
 
     The admissibility bound is strict: at alpha*gamma = -a_script^2 the
     exponent lam vanishes and the ground state no longer vanishes at the
@@ -135,12 +135,13 @@ def derive_params(phys, amb):
         # a power beyond the float range, or hbar k^2 underflowing to 0
         a_script = a_script_sq = math.inf
     product = amb.product
-    if not (0.0 < a_script < math.inf and a_script_sq + product < math.inf):
+    if not (a_script_sq >= np.finfo(float).tiny  # a positive normal float
+            and a_script_sq + product < math.inf):
         raise ConstraintViolationError(
             f"omega = {phys.omega}, k = {phys.k}, hbar = {phys.hbar} and "
-            f"alpha*gamma = {product} put a_script = 9 omega^3/(hbar k^2) or "
-            f"lam = sqrt(a_script^2 + alpha*gamma) outside the finite "
-            f"positive floats")
+            f"alpha*gamma = {product} put a_script = 9 omega^3/(hbar k^2), "
+            f"a_script^2 or lam = sqrt(a_script^2 + alpha*gamma) outside the "
+            f"finite positive normal floats")
     if product <= -a_script_sq:
         raise ConstraintViolationError(
             f"ambiguity product alpha*gamma = {product} violates the bound "

@@ -16,12 +16,13 @@ through the product alpha*gamma and V collapses to the closed form
 
     V(p) = [p^2 + alpha gamma (hbar k / 3 omega)^2] / (2 (1 - q)).
 
-The Hamiltonian applied by apply_hamiltonian_fd is
+The Hamiltonian
 
-    H = -(hbar omega)^2/2 * d/dp (1 - q) d/dp + V(p),
+    H = -(hbar omega)^2/2 * d/dp (1 - q) d/dp + V(p)
 
-discretized in flux form with midpoint coefficients, which keeps the
-discrete operator exactly symmetric.
+is discretized once, in flux form with midpoint coefficients (exactly
+symmetric), by hamiltonian_stencil: apply_hamiltonian_fd applies it to
+samples and eigensolver.build_operator solves it as a matrix.
 """
 
 from dataclasses import dataclass
@@ -132,13 +133,25 @@ def effective_potential(phys, amb, p):
     return out if out.ndim else float(out)
 
 
+def hamiltonian_stencil(phys, amb, points, spacing):
+    """Diagonal and the n + 1 midpoint couplings of H on ascending points.
+
+    diag_i = c (u_{i-1/2} + u_{i+1/2}) + V(p_i), coupling_{i+1/2} =
+    -c u_{i+1/2}, with c = (hbar omega)^2 / (2 h^2) and u = 1 - q.
+    """
+    c = (phys.hbar * phys.omega) ** 2 / (2.0 * spacing ** 2)
+    u = deformation_factor(
+        phys, np.append(points - 0.5 * spacing, points[-1] + 0.5 * spacing))
+    return c * (u[:-1] + u[1:]) + effective_potential(phys, amb, points), -c * u
+
+
 def apply_hamiltonian_fd(phys, amb, grid, samples):
     """Apply the quantum Hamiltonian to sampled values; result on the interior.
 
-    Conservative second-order stencil with midpoint kinetic coefficients
-    (1 - q_{i +- 1/2}); requires the samples to live on the given grid and to
-    have decayed below 1e-8 of their sup at both ends, so the implicit
-    zero-extension outside the stencil is harmless.
+    The hamiltonian_stencil of the interior points, whose outer couplings
+    reach the end samples; requires the samples to live on the given grid
+    and to have decayed below 1e-8 of their sup at both ends, so the
+    implicit zero-extension outside the stencil is harmless.
     """
     if samples.grid is not grid and not np.array_equal(samples.grid.points, grid.points):
         raise GridMismatchError("samples were taken on a different grid")
@@ -147,10 +160,6 @@ def apply_hamiltonian_fd(phys, amb, grid, samples):
     if abs(v[0]) > 1e-8 * sup or abs(v[-1]) > 1e-8 * sup:
         raise DomainError(
             "samples do not vanish at the grid ends; enlarge the window")
-    p = grid.points
-    h = grid.spacing
-    coeff = deformation_factor(phys, p[:-1] + 0.5 * h)  # midpoints
-    flux = coeff * (v[1:] - v[:-1])  # (1 - q_{i+1/2})(v_{i+1} - v_i)
-    kinetic = -(phys.hbar * phys.omega) ** 2 / 2.0 * (flux[1:] - flux[:-1]) / h ** 2
-    pot = effective_potential(phys, amb, p[1:-1]) * v[1:-1]
-    return SampledFunction(grid=grid.interior(), values=kinetic + pot)
+    diag, b = hamiltonian_stencil(phys, amb, grid.points[1:-1], grid.spacing)
+    values = diag * v[1:-1] + b[:-1] * v[:-2] + b[1:] * v[2:]
+    return SampledFunction(grid=grid.interior(), values=values)

@@ -167,9 +167,8 @@ def shape_invariance_remainder(phys, derived, grid):
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Bound-state energies e_0..e_n and the derived parameters behind them."""
+    """Bound-state energies e_0..e_n."""
 
-    derived: object  # None on the harmonic branch (k = 0)
     energies: np.ndarray
 
     def __post_init__(self):
@@ -198,7 +197,6 @@ def spectrum(phys, amb, n_max):
         shift = derived.shift
         remainder = SQRT2 * derived.a_coef * phys.hbar_omega
     else:
-        derived = None
         shift = 0.0
         remainder = phys.hbar_omega
     energies = (n + 0.5 + shift) * phys.hbar_omega
@@ -207,7 +205,7 @@ def spectrum(phys, amb, n_max):
     if defect > 1e-14 * max(1.0, float(np.max(np.abs(energies)))):
         raise ConstraintViolationError(
             f"algebraic/ladder spectrum mismatch: {defect}")
-    return SpectrumTable(derived=derived, energies=energies)
+    return SpectrumTable(energies=energies)
 
 
 def _inv_sqrt_mass(phys, p):

@@ -167,11 +167,12 @@ def gamma_asymptotic_check(a_script_values):
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def laguerre_hermite_limit(n, x, a_script_values):
     """Convergence of (2 sqrt a)^-n L_n^{2a}(2a - 2 sqrt(a) x) to H_n(x)/(2^n n!).
 
     Returns rows (a_script, scaled value, limit value, |deviation|); the
-    deviation decays like a_script^{-1/2}.
+    deviation decays like a_script^{-1/2}. OverflowGuardError if not finite.
     """
     if not 0 <= n <= 5:
         raise ValueError(f"n must be in 0..5, got {n}")
@@ -181,6 +182,10 @@ def laguerre_hermite_limit(n, x, a_script_values):
         root = math.sqrt(a)
         scaled = (2.0 * root) ** (-n) * laguerre_assoc(
             n, 2.0 * a, 2.0 * a - 2.0 * root * x)
+        if not math.isfinite(scaled):
+            raise OverflowGuardError(f"the Laguerre-Hermite limit at n = {n} "
+                                     f"is not finite at scale {a:g}: its "
+                                     f"polynomial recurrence overflows")
         rows.append((a, scaled, target, abs(scaled - target)))
     return rows
 

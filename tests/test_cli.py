@@ -307,6 +307,8 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
                                      "hbar = 1 and alpha*gamma = -80, "
                                      "leaves psi_0"),
     ("wavefn --level 200", "psi_200 is not finite at lam = 9"),
+    ("limit --a-values 1e154", "the Laguerre-Hermite limit at n = 4 is not "
+                               "finite at scale 1e+154"),
     ("spectrum --n-max 100000000", "option 'n_max' = 100000000 would give "
                                    "more than 1000000 output rows"),
     ("spectrum --n-max 1000000", "option 'n_max' = 1000000 would give"),
@@ -326,7 +328,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
         "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
         "wavefn-samples-negative", "verify-operator-window-huge",
         "verify-lam-grid-huge", "limit-n-max-over-5", "verify-lam-4-window",
-        "verify-lam-1-window", "wavefn-level-200",
+        "verify-lam-1-window", "wavefn-level-200", "limit-a-values-overflow",
         "spectrum-n-max-huge", "spectrum-n-max-one-over", "classical-step-tiny",
         "classical-one-row-over", "wavefn-samples-huge", "sweep-axes-huge"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):

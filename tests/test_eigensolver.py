@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lienardqm import kernels
+from lienardqm import checks, kernels, susy
 from lienardqm.eigensolver import (BISECTION_TOL, TridiagonalOperator, YGrid,
                                    build_operator, default_y_max,
                                    lowest_eigenvalues, sign_changes,
@@ -39,18 +40,56 @@ def test_default_domain_formula():
 
 def test_operator_structure():
     grid = YGrid(y_max=150.0, n_points=600 + 400)
-    derived = derive_params(PHYS, AMB19)
-    op = build_operator(PHYS, derived, grid)
+    op = build_operator(PHYS, AMB19, grid)
     assert np.all(op.off_diagonal < 0.0)
     assert op.dim == 1000
-    # spot-check the stencil against its definition at an interior index
-    h = grid.spacing
-    y = grid.points
+    # spot-check against the momentum-space definition at an interior index:
+    # p = p_max - y hbar omega / (2 p_max) = 3 - y / 6, in ascending order
+    hp = grid.spacing / 6.0
+    p = 3.0 - grid.points[::-1] / 6.0
     i = 137
-    expected_diag = ((y[i] - h / 2 + y[i] + h / 2) / h ** 2
-                     + derived.lam ** 2 / y[i] + y[i] / 4.0 - derived.a_script)
-    assert op.diagonal[i] == pytest.approx(expected_diag, rel=1e-14)
-    assert op.off_diagonal[i] == pytest.approx(-(y[i] + h / 2) / h ** 2, rel=1e-14)
+    c = 1.0 / (2.0 * hp ** 2)  # (hbar omega)^2 / (2 h^2)
+
+    def factor(momentum):  # 1 - k p / (3 omega^2)
+        return 1.0 - momentum / 3.0
+
+    potential = (p[i] ** 2 + 19.0 / 9.0) / (2.0 * factor(p[i]))
+    expected_diag = (c * (factor(p[i] - hp / 2) + factor(p[i] + hp / 2))
+                     + potential)
+    assert op.diagonal[i] == pytest.approx(expected_diag, rel=1e-13)
+    assert op.off_diagonal[i] == pytest.approx(-c * factor(p[i] + hp / 2),
+                                               rel=1e-13)
+    # the whole matrix is the y-space one, -hbar omega [d/dy (y d/dy)
+    # - lam^2/y - y/4 + a_script], in reverse order
+    lam, a_script = 10.0, 9.0
+    h, y = grid.spacing, grid.points
+    diag_y = 2.0 * y / h ** 2 + lam ** 2 / y + y / 4.0 - a_script
+    off_y = -(y[:-1] + h / 2) / h ** 2
+    np.testing.assert_allclose(op.diagonal[::-1], diag_y, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(op.off_diagonal[::-1], off_y, rtol=1e-12,
+                               atol=0)
+
+
+def test_levels_row_fails_when_lam_is_mutated(monkeypatch):
+    # lam = sqrt(a_script^2 + 1.5 alpha*gamma) in place of the true value:
+    # the operator never reads lam, so its levels leave the algebraic ones
+    def mutated(phys, amb):
+        d = derive_params(phys, amb)
+        lam = math.sqrt(d.a_script ** 2 + 1.5 * amb.product)
+        shift = lam - d.a_script
+        return dataclasses.replace(d, lam=lam, shift=shift, b_coef=(
+            phys.hbar * phys.k / (3.0 * math.sqrt(2.0) * phys.omega) * shift))
+
+    def levels_row():
+        return next(r for r in checks.run_suite(PHYS, AMB19)
+                    if r.name == "eigensolver.levels-vs-algebraic")
+
+    assert levels_row().passed
+    for module in (checks, susy):
+        monkeypatch.setattr(module, "derive_params", mutated)
+    row = levels_row()
+    assert not row.passed
+    assert row.measured > 0.1
 
 
 def test_two_by_two_diagonal_matrix():
@@ -72,7 +111,7 @@ def test_dirichlet_laplacian_lowest_eigenvalue():
 
 def test_sturm_count_between_levels():
     grid = YGrid(y_max=150.0, n_points=2000)
-    op = build_operator(PHYS, derive_params(PHYS, AMB0), grid)
+    op = build_operator(PHYS, AMB0, grid)
     energies = spectrum(PHYS, AMB0, 1).energies
     assert op.count_below(0.5 * (energies[0] + energies[1])) == 1
 
@@ -112,7 +151,7 @@ def test_shared_brackets_bit_identical_with_fewer_sweeps(
     # the operator pair that verify solves at its default parameters
     derived = derive_params(PHYS, AMB19)
     grid = YGrid(y_max=default_y_max(derived.lam, 2), n_points=8500)
-    op = build_operator(PHYS, derived, grid.refined() if refined else grid)
+    op = build_operator(PHYS, AMB19, grid.refined() if refined else grid)
     sweeps = []
     sturm_count = kernels.sturm_count
     monkeypatch.setattr(kernels, "sturm_count",
@@ -174,18 +213,17 @@ def test_verify_spectrum_coarse_to_fine_work_and_bits(monkeypatch):
     assert sum(rows) <= 1_432_162
     assert set(rows) == {2124, 8500, 17001}  # pilot, grid N, grid 2N + 1
     for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):
-        plain = lowest_eigenvalues(build_operator(PHYS, derived, g), 3)
+        plain = lowest_eigenvalues(build_operator(PHYS, AMB19, g), 3)
         assert [v.hex() for v in solved] == [v.hex() for v in plain]
 
 
 def test_verify_spectrum_without_pilot_below_the_point_floor(monkeypatch):
     # (2002 - 3) // 4 = 499 pilot points would fall below the 500 floor
     grid = YGrid(y_max=150.0, n_points=2002)
-    derived = derive_params(PHYS, AMB19)
     rows = _count_rows(monkeypatch)
     cmp = verify_spectrum(PHYS, AMB19, 2, grid)
     assert set(rows) == {2002, 4005}
-    plain = lowest_eigenvalues(build_operator(PHYS, derived, grid.refined()), 3)
+    plain = lowest_eigenvalues(build_operator(PHYS, AMB19, grid.refined()), 3)
     assert [v.hex() for v in cmp.refined_numeric] == [v.hex() for v in plain]
 
 
@@ -210,7 +248,7 @@ def test_numeric_spacings_approach_hbar_omega():
 
 def test_eigenvalues_increasing_and_simple():
     grid = YGrid(y_max=150.0, n_points=3000)
-    op = build_operator(PHYS, derive_params(PHYS, AMB19), grid)
+    op = build_operator(PHYS, AMB19, grid)
     vals = lowest_eigenvalues(op, 6)
     gaps = np.diff(vals)
     assert np.all(gaps > 0.9)  # simple, separated by ~hbar omega
@@ -221,9 +259,8 @@ def test_truncation_insensitivity_at_fixed_spacing():
     base = YGrid(y_max=150.0, n_points=2999)       # h = 150/3000
     wide = YGrid(y_max=225.0, n_points=4499)       # h = 225/4500, identical
     assert base.spacing == wide.spacing
-    derived = derive_params(PHYS, AMB19)
-    v_base = lowest_eigenvalues(build_operator(PHYS, derived, base), 4)
-    v_wide = lowest_eigenvalues(build_operator(PHYS, derived, wide), 4)
+    v_base = lowest_eigenvalues(build_operator(PHYS, AMB19, base), 4)
+    v_wide = lowest_eigenvalues(build_operator(PHYS, AMB19, wide), 4)
     assert np.max(np.abs(v_base - v_wide)) < 1e-8
 
 

@@ -102,9 +102,9 @@ def test_backends_bitwise_identical(c_kernels):
     # the N = 8500 operator verify solves at its defaults, at and 1 ulp
     # either side of its bisected eigenvalues, where pivots come closest to 0
     phys = PhysicalParams(omega=1.0, k=1.0)
-    derived = derive_params(phys, AmbiguityParams(alpha=19.0, gamma=1.0))
-    op = build_operator(phys, derived,
-                        YGrid(y_max=default_y_max(derived.lam, 2), n_points=8500))
+    amb = AmbiguityParams(alpha=19.0, gamma=1.0)
+    y_max = default_y_max(derive_params(phys, amb).lam, 2)
+    op = build_operator(phys, amb, YGrid(y_max=y_max, n_points=8500))
     values = lowest_eigenvalues(op, 3)
     shifts = np.concatenate([values, np.nextafter(values, -np.inf),
                              np.nextafter(values, np.inf), op.gershgorin(),

@@ -57,6 +57,17 @@ def test_derive_rejects_product_at_and_below_bound():
     assert d.lam > 0.0
 
 
+def test_derive_rejects_a_script_squared_below_the_normal_floats():
+    # a_script = 9e-200 and 9e-155 are floats; their squares underflow to 0
+    # and to a subnormal, which the product bound must not be measured on
+    for hbar in (1e200, 1e155):
+        with pytest.raises(ConstraintViolationError,
+                           match="a_script\\^2 or lam .* outside the finite "
+                                 "positive normal floats"):
+            derive_params(PhysicalParams(omega=1.0, k=1.0, hbar=hbar),
+                          AmbiguityParams(alpha=0.0, gamma=1.0))
+
+
 def test_derive_rejects_k_zero():
     with pytest.raises(ConstraintViolationError):
         derive_params(PhysicalParams(omega=1.0, k=0.0),

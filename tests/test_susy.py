@@ -164,7 +164,6 @@ def test_spectrum_spacing_and_positivity():
 def test_spectrum_harmonic_branch():
     table = spectrum(PhysicalParams(omega=1.0, k=0.0), AMB19, 3)
     np.testing.assert_allclose(table.energies, [0.5, 1.5, 2.5, 3.5], atol=1e-15)
-    assert table.derived is None
 
 
 def test_spectrum_bitwise_in_product():

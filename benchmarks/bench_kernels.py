@@ -3,7 +3,9 @@
 
 Times the two sequential hot loops on workloads matching real use:
   - Sturm sign counts on the spectral operator's tridiagonal matrix
-    (the inner loop of every eigenvalue bisection step), and
+    (the inner loop of every eigenvalue bisection step), each backend
+    reading the rows of its own sturm_rows, formed once per matrix as
+    TridiagonalOperator does, and
   - fixed-step RK4 integration of the oscillator over one period.
 The C column appears when the extension was built
 (python setup.py build_ext --inplace).
@@ -34,9 +36,8 @@ def _time(fn, repeats):
 
 def bench_sturm(backend, n_points, repeats=20):
     op = build_operator(PHYS, AMB, YGrid(y_max=150.0, n_points=n_points))
-    diag = np.asarray(op.diagonal)
-    off = np.asarray(op.off_diagonal)
-    return _time(lambda: backend.sturm_count(diag, off, 3.75), repeats)
+    a, b2 = backend.sturm_rows(op.diagonal, op.off_diagonal)
+    return _time(lambda: backend.sturm_count(a, b2, 3.75), repeats)
 
 
 def bench_rk4(backend, steps, repeats=5):

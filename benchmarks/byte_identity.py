@@ -59,6 +59,8 @@ CASES = {
     "wavefn-level-200": "wavefn --level 200",
     "limit-a-1e154": "limit --a-values 1e154",
     "wavefn-hbar-1e200": "wavefn --hbar 1e200",
+    "verify-k0.1": "verify --k 0.1",
+    "verify-omega2-k2": "verify --omega 2 --k 2",
 }
 
 

@@ -8,19 +8,21 @@ from 1 - q and V alone, never from lam or a_script. Its lowest eigenvalues
 are extracted by Sturm-count bisection and compared with the algebraic
 levels (n + 1/2 + lam - a_script) hbar omega.
 
-verify_spectrum solves a pilot grid, grid N and grid 2N + 1, coarse to
-fine. Each grid's bisection is given probes: Sturm counts taken first at
-shifts just below and above where the coarser grids put each level. The
-count is monotone in the shift, so a probe is bracket information of the
-same kind as a bisection midpoint: it decides midpoints without a sweep
-but never changes which way one goes, and every reported eigenvalue keeps
-the bits of a plain bisection. The probes come from the solver's own
-coarser solutions, never from the algebraic spectrum it is checked
-against.
+verify_spectrum solves a chain of pilot grids, then grid N and grid
+2N + 1, coarse to fine. Each grid's bisection is given probes: Sturm
+counts taken first at shifts just below and above where the coarser grids
+put each level. The count is monotone in the shift, so a probe is bracket
+information of the same kind as a bisection midpoint: it decides
+midpoints without a sweep but never changes which way one goes, and every
+reported eigenvalue keeps the bits of a plain bisection. The probes come
+from the solver's own coarser solutions, never from the algebraic
+spectrum it is checked against.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +50,11 @@ class YGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.y_max > 0.0:
-            raise ValueError(f"y_max must be > 0, got {self.y_max}")
+        if not 0.0 < self.y_max < math.inf:
+            raise ValueError(f"y_max must be finite and > 0, got {self.y_max}")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(
+                f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < MIN_POINTS:
             raise ValueError(
                 f"need at least {MIN_POINTS} grid points, got {self.n_points}")
@@ -74,7 +79,11 @@ def default_y_max(lam, n_target):
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Symmetric tridiagonal matrix."""
+    """Symmetric tridiagonal matrix.
+
+    The rows the Sturm kernel reads are formed once, on the first count,
+    and serve every shift after it.
+    """
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -89,9 +98,13 @@ class TridiagonalOperator:
     def dim(self):
         return len(self.diagonal)
 
+    @cached_property
+    def _sturm_rows(self):
+        return kernels.sturm_rows(self.diagonal, self.off_diagonal)
+
     def count_below(self, shift):
         """Number of eigenvalues strictly below shift (Sturm sign count)."""
-        return kernels.sturm_count(self.diagonal, self.off_diagonal, shift)
+        return kernels.sturm_count(*self._sturm_rows, shift)
 
     def gershgorin(self):
         radius = np.zeros(self.dim)
@@ -145,6 +158,9 @@ def lowest_eigenvalues(op, count, probes=()):
     """
     if not 1 <= count <= 10:
         raise ValueError(f"count must be in 1..10, got {count}")
+    if count > op.dim:
+        raise ValueError(
+            f"count {count} exceeds the dimension {op.dim} of the operator")
     lo_all, hi_all = op.gershgorin()
     below = [-math.inf] * count
     above = [math.inf] * count
@@ -233,19 +249,20 @@ def verify_spectrum(phys, amb, n_max, grid):
     Also solves on the half-spacing grid so the quadratic convergence of
     the discretization is observable from the error ratios.
 
-    The grids are solved coarse to fine, starting from a pilot grid with
-    ~4x the spacing when that keeps MIN_POINTS points, and each grid's
-    bisection is probed where the coarser ones put its levels (_probes).
-    Probes save Sturm sweeps but cannot move a bit of the reported
-    eigenvalues; the pilot's are used for nothing else.
+    The grids are solved coarse to fine, starting from a chain of pilot
+    grids: each has (n - 3) // 4 points for the n of the grid after it,
+    ~4x its spacing, and the chain grows while that keeps MIN_POINTS
+    points. Each grid's bisection is probed where the coarser ones put its
+    levels (_probes). Probes save Sturm sweeps but cannot move a bit of the
+    reported eigenvalues; the pilots' are used for nothing else.
     """
     if not 0 <= n_max <= 5:
         raise ValueError(f"n_max must be in 0..5, got {n_max}")
     table = spectrum(phys, amb, n_max)
     grids = [grid, grid.refined()]
-    pilot_points = (grid.n_points - 3) // 4
-    if pilot_points >= MIN_POINTS:
-        grids.insert(0, YGrid(y_max=grid.y_max, n_points=pilot_points))
+    while (grids[0].n_points - 3) // 4 >= MIN_POINTS:
+        grids.insert(0, YGrid(y_max=grid.y_max,
+                              n_points=(grids[0].n_points - 3) // 4))
     solved = []
     for g in grids:
         op = build_operator(phys, amb, g)

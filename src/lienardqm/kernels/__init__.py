@@ -7,5 +7,6 @@ except ImportError:
     from . import pykernels as _impl
 
 BACKEND = _impl.BACKEND_NAME
+sturm_rows = _impl.sturm_rows
 sturm_count = _impl.sturm_count
 rk4_lienard = _impl.rk4_lienard

@@ -1,7 +1,9 @@
 /* Compiled kernels: Sturm sign count and RK4 stepping.
 
    Same arithmetic, same operation order as kernels/pykernels.py. Built with
-   -ffp-contract=off (no fused multiply-add), the results are bit-identical. */
+   -ffp-contract=off (no fused multiply-add), the results are bit-identical.
+   sturm_rows forms the Sturm rows as float64 arrays, the form sturm_count
+   reads here; pykernels forms them as Python float lists. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <errno.h>
@@ -21,25 +23,61 @@ static int doubles(PyObject *obj, Py_buffer *buf, int flags)
     return -1;
 }
 
+/* A new float64 numpy array of n items; *data points at its items. */
+static PyObject *new_array(Py_ssize_t n, double **data)
+{
+    Py_buffer buf;
+    PyObject *arr = PyObject_CallFunction(np_empty, "n", n);
+    if (arr == NULL || doubles(arr, &buf, PyBUF_WRITABLE) < 0) {
+        Py_XDECREF(arr);
+        return NULL;
+    }
+    *data = buf.buf;  /* stays valid while arr lives: nothing else can resize it */
+    PyBuffer_Release(&buf);
+    return arr;
+}
+
+/* The diagonal is a row as it stands; b2 is a new array. */
+static PyObject *sturm_rows(PyObject *self, PyObject *args)
+{
+    PyObject *diag, *off, *b2_arr;
+    Py_buffer d, e;
+    double *b2;
+    Py_ssize_t i;
+    if (!PyArg_ParseTuple(args, "OO", &diag, &off) || doubles(diag, &d, 0) < 0)
+        return NULL;
+    PyBuffer_Release(&d);
+    if (doubles(off, &e, 0) < 0)
+        return NULL;
+    const double *b = e.buf;
+    if ((b2_arr = new_array(e.shape[0] + 1, &b2)) != NULL) {
+        b2[0] = 0.0;
+        for (i = 0; i < e.shape[0]; i++)
+            b2[i + 1] = b[i] * b[i];
+    }
+    PyBuffer_Release(&e);
+    return b2_arr == NULL ? NULL : Py_BuildValue("ON", diag, b2_arr);
+}
+
 static PyObject *sturm_count(PyObject *self, PyObject *args)
 {
-    PyObject *diag, *off;
+    PyObject *a_obj, *b2_obj;
     Py_buffer d, e;
     double shift, q = 1.0;
     Py_ssize_t i, n, count = 0;
-    if (!PyArg_ParseTuple(args, "OOd", &diag, &off, &shift) || doubles(diag, &d, 0) < 0)
+    if (!PyArg_ParseTuple(args, "OOd", &a_obj, &b2_obj, &shift) || doubles(a_obj, &d, 0) < 0)
         return NULL;
-    if (doubles(off, &e, 0) < 0) {
+    if (doubles(b2_obj, &e, 0) < 0) {
         PyBuffer_Release(&d);
         return NULL;
     }
     n = d.shape[0];
-    const double *a = d.buf, *b = e.buf;
-    if (e.shape[0] < n - 1)
-        PyErr_SetString(PyExc_IndexError, "off-diagonal shorter than diagonal - 1");
+    const double *a = d.buf, *b2 = e.buf;
+    if (e.shape[0] < n)
+        PyErr_SetString(PyExc_IndexError, "squared off-diagonal rows shorter than diagonal");
     else
         for (i = 0; i < n; i++) {
-            q = i == 0 ? a[0] - shift : (a[i] - shift) - b[i - 1] * b[i - 1] / q;
+            q = (a[i] - shift) - b2[i] / q;
             if (q == 0.0)
                 q = -1e-300;  /* pivot floor, as _PIVOT_FLOOR */
             if (q < 0.0)
@@ -57,20 +95,6 @@ static double cube(double x, int *overflow)
     if (isinf(c) && isfinite(x))
         *overflow = 1;
     return c;
-}
-
-/* A new float64 numpy array of n items; *data points at its items. */
-static PyObject *new_array(Py_ssize_t n, double **data)
-{
-    Py_buffer buf;
-    PyObject *arr = PyObject_CallFunction(np_empty, "n", n);
-    if (arr == NULL || doubles(arr, &buf, PyBUF_WRITABLE) < 0) {
-        Py_XDECREF(arr);
-        return NULL;
-    }
-    *data = buf.buf;  /* stays valid while arr lives: nothing else can resize it */
-    PyBuffer_Release(&buf);
-    return arr;
 }
 
 static PyObject *rk4_lienard(PyObject *self, PyObject *args)
@@ -116,8 +140,10 @@ static PyObject *rk4_lienard(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef methods[] = {
+    {"sturm_rows", sturm_rows, METH_VARARGS,
+     "sturm_rows(diag, off): the rows sturm_count reads, (diag, b2) with b2 = [0, off**2] as a float64 array."},
     {"sturm_count", sturm_count, METH_VARARGS,
-     "sturm_count(diag, off, shift): number of eigenvalues of a symmetric tridiagonal matrix below shift."},
+     "sturm_count(a, b2, shift): number of eigenvalues of a symmetric tridiagonal matrix below shift."},
     {"rk4_lienard", rk4_lienard, METH_VARARGS,
      "rk4_lienard(k, omega, x0, v0, step, n_steps): fixed-step RK4 for x'' + k x x' + (k^2/9) x^3 + omega^2 x = 0."},
     {NULL, NULL, 0, NULL},

@@ -4,6 +4,11 @@ Reference implementations of the two sequential hot loops. The compiled
 twin in _ckernels.c performs the same arithmetic in the same order, so
 both backends produce identical floating-point results and raise the same
 OverflowError when x ** 3 overflows.
+
+The Sturm sweep reads rows that each backend forms once per matrix with
+its own sturm_rows: Python float lists here, which the loop iterates
+fastest, and float64 buffers in the C twin. Pass a backend's sturm_count
+the rows of the same backend's sturm_rows.
 """
 
 import numpy as np
@@ -15,29 +20,37 @@ BACKEND_NAME = "python"
 _PIVOT_FLOOR = 1e-300
 
 
-def sturm_count(diag, off, shift):
+def sturm_rows(diag, off):
+    """The rows sturm_count reads, formed once per matrix: a_i as Python
+    floats, and b_{i-1}^2 with 0 for row 0 (b * b elementwise in numpy, the
+    same IEEE product the C twin's sturm_rows forms)."""
+    e = np.asarray(off, dtype=np.float64)
+    return (np.asarray(diag, dtype=np.float64).tolist(),
+            [0.0] + (e * e).tolist())
+
+
+def sturm_count(a, b2, shift):
     """Number of eigenvalues of a symmetric tridiagonal matrix below shift.
 
-    Runs the classic LDL^T sign sweep: d_i = (a_i - shift) - b_{i-1}^2/d_{i-1};
-    the count of negative pivots equals the count of eigenvalues < shift.
-    A pivot that lands exactly on zero is nudged negative, so exact ties
-    count as below (the usual pivmin convention; bisection is unaffected).
+    Runs the classic LDL^T sign sweep over the rows of sturm_rows:
+    d_i = (a_i - shift) - b_{i-1}^2/d_{i-1}, with b2[0] = 0 and d_{-1} = 1
+    so that row 0 gives a_0 - shift. The count of negative pivots equals
+    the count of eigenvalues < shift. A pivot that lands exactly on zero is
+    nudged negative, so exact ties count as below (the usual pivmin
+    convention; bisection is unaffected).
 
-    a_i - shift and b_i * b_i are formed once, elementwise in numpy (the
-    same IEEE operations as in the loop), so the loop does one subtraction
-    and one division per row over plain Python floats.
+    The loop does two subtractions and one division per row over plain
+    Python floats. shift is coerced to float first: a numpy scalar would
+    make every row a numpy-scalar operation.
     """
-    a = (np.asarray(diag, dtype=np.float64) - float(shift)).tolist()
-    e = np.asarray(off, dtype=np.float64)
-    # row 0 has no b_{-1}: with b = 0 and q = 1 its pivot is a_0 - 0/1 = a_0
-    b = [0.0] + (e * e).tolist()
-    if len(b) < len(a):
-        raise IndexError("off-diagonal shorter than diagonal - 1")
+    if len(b2) < len(a):
+        raise IndexError("squared off-diagonal rows shorter than diagonal")
+    shift = float(shift)
     floor = -_PIVOT_FLOOR
     q = 1.0
     count = 0
-    for a_i, b_prev in zip(a, b):
-        q = a_i - b_prev / q
+    for a_i, b_prev in zip(a, b2):
+        q = (a_i - shift) - b_prev / q
         if q < 0.0:
             count += 1
         elif q == 0.0:

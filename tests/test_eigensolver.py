@@ -31,6 +31,10 @@ def test_ygrid_geometry():
         YGrid(y_max=150.0, n_points=400)
     with pytest.raises(ValueError):
         YGrid(y_max=-1.0, n_points=1000)
+    with pytest.raises(ValueError, match="finite"):
+        YGrid(y_max=math.inf, n_points=1000)
+    with pytest.raises(ValueError, match="integer"):
+        YGrid(y_max=150.0, n_points=600.5)
 
 
 def test_default_domain_formula():
@@ -123,6 +127,11 @@ def test_count_validation():
         lowest_eigenvalues(op, 0)
     with pytest.raises(ValueError):
         lowest_eigenvalues(op, 11)
+    # more levels than the matrix has: no bound is passed off as one
+    two = TridiagonalOperator(diagonal=np.array([1.0, 2.0]),
+                              off_diagonal=np.array([0.0]))
+    with pytest.raises(ValueError, match="count 3 exceeds the dimension 2"):
+        lowest_eigenvalues(two, 3)
 
 
 def _plain_bisection(op, count):
@@ -210,11 +219,40 @@ def test_verify_spectrum_coarse_to_fine_work_and_bits(monkeypatch):
     rows = _count_rows(monkeypatch)
     cmp = verify_spectrum(PHYS, AMB19, 2, grid)
     # plain bisection of grids N and 2N + 1 sweeps 3,145,124 rows
-    assert sum(rows) <= 1_432_162
-    assert set(rows) == {2124, 8500, 17001}  # pilot, grid N, grid 2N + 1
+    assert sum(rows) <= 1_078_234
+    # two pilots, grid N, grid 2N + 1
+    assert set(rows) == {530, 2124, 8500, 17001}
     for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):
         plain = lowest_eigenvalues(build_operator(PHYS, AMB19, g), 3)
         assert [v.hex() for v in solved] == [v.hex() for v in plain]
+
+
+def test_verify_spectrum_one_pilot_when_the_next_falls_below_the_floor(
+        monkeypatch):
+    # the acceptance grid: (1499 - 3) // 4 = 374 points would be a second
+    # pilot below the 500 floor, so the chain holds one
+    grid = YGrid(y_max=150.0, n_points=6000)
+    rows = _count_rows(monkeypatch)
+    verify_spectrum(PHYS, AMB19, 3, grid)
+    assert set(rows) == {1499, 6000, 12001}
+    assert sum(rows) == 1_418_889
+
+
+def test_operator_forms_sturm_rows_once(monkeypatch):
+    formed = []
+    sturm_rows = kernels.sturm_rows
+    monkeypatch.setattr(kernels, "sturm_rows",
+                        lambda *args: formed.append(len(args[0]))
+                        or sturm_rows(*args))
+    sweeps = _count_rows(monkeypatch)
+    op = build_operator(PHYS, AMB19, YGrid(y_max=150.0, n_points=2000))
+    lowest_eigenvalues(op, 3, probes=[1.4, 1.6, 2.4, 2.6])
+    assert formed == [2000]
+    assert len(sweeps) > 50
+    # one operator per grid of verify_spectrum, each formed once
+    formed.clear()
+    verify_spectrum(PHYS, AMB19, 2, YGrid(y_max=150.0, n_points=8500))
+    assert formed == [530, 2124, 8500, 17001]
 
 
 def test_verify_spectrum_without_pilot_below_the_point_floor(monkeypatch):

@@ -2,7 +2,8 @@
 
 Every test runs on the pure-Python twin and on the C extension, which the
 `c_kernels` fixture compiles from source into a temporary directory, so the
-compiled path is tested whether or not the package itself was built.
+compiled path is tested whether or not the package itself was built. Each
+backend's Sturm count reads the rows of its own sturm_rows.
 """
 
 import importlib.util
@@ -47,8 +48,25 @@ def backends(c_kernels):
     return [pykernels] + ([c_kernels] if c_kernels is not None else [])
 
 
+def _count(backend, diag, off, shift):
+    return backend.sturm_count(*backend.sturm_rows(diag, off), shift)
+
+
 def test_backend_selected():
     assert BACKEND in ("python", "c")
+
+
+def test_sturm_rows_form(backends):
+    # a_i as given and b_{i-1}^2 with 0 for row 0
+    diag = np.array([1.5, -2.0, 3.25])
+    off = np.array([-0.5, 3.0])
+    for backend in backends:
+        a, b2 = backend.sturm_rows(diag, off)
+        assert list(a) == [1.5, -2.0, 3.25]
+        assert list(b2) == [0.0, 0.25, 9.0]
+    # the pure-Python loop iterates Python floats, not numpy scalars
+    a, b2 = pykernels.sturm_rows(diag, off)
+    assert {type(v) for v in [*a, *b2]} == {float}
 
 
 def test_sturm_count_against_dense_eigenvalue_oracle(backends):
@@ -62,8 +80,9 @@ def test_sturm_count_against_dense_eigenvalue_oracle(backends):
     shifts = np.concatenate([eigs - 1e-9, eigs + 1e-9,
                              [-100.0, 0.0, 100.0]])
     for backend in backends:
-        for s in shifts:
-            assert backend.sturm_count(diag, off, s) == int(np.sum(eigs < s))
+        a, b2 = backend.sturm_rows(diag, off)
+        for s in shifts:  # numpy scalars, as bisection midpoints are
+            assert backend.sturm_count(a, b2, s) == int(np.sum(eigs < s))
 
 
 def test_sturm_count_handles_exact_submatrix_eigenvalue(backends):
@@ -72,21 +91,22 @@ def test_sturm_count_handles_exact_submatrix_eigenvalue(backends):
     diag = np.array([2.0, 5.0, 7.0])
     off = np.array([0.0, 0.0])
     for backend in backends:
-        assert backend.sturm_count(diag, off, 2.0) == 1   # tie at 2
-        assert backend.sturm_count(diag, off, 5.0) == 2   # tie at 5
-        assert backend.sturm_count(diag, off, 5.0 - 1e-12) == 1
-        assert backend.sturm_count(diag, off, 5.0 + 1e-12) == 2
-        assert backend.sturm_count(diag, off, 100.0) == 3
+        assert _count(backend, diag, off, 2.0) == 1   # tie at 2
+        assert _count(backend, diag, off, 5.0) == 2   # tie at 5
+        assert _count(backend, diag, off, np.float64(5.0)) == 2
+        assert _count(backend, diag, off, 5.0 - 1e-12) == 1
+        assert _count(backend, diag, off, 5.0 + 1e-12) == 2
+        assert _count(backend, diag, off, 100.0) == 3
 
 
 def test_sturm_count_edges(backends):
     # an empty matrix has no eigenvalues; an off-diagonal too short for the
     # diagonal is an error, never a silently truncated sweep
     for backend in backends:
-        assert backend.sturm_count(np.empty(0), np.empty(0), 1.0) == 0
-        assert backend.sturm_count(np.array([0.5]), np.empty(0), 1.0) == 1
+        assert _count(backend, np.empty(0), np.empty(0), 1.0) == 0
+        assert _count(backend, np.array([0.5]), np.empty(0), 1.0) == 1
         with pytest.raises(IndexError):
-            backend.sturm_count(np.ones(4), np.ones(2), 1.0)
+            _count(backend, np.ones(4), np.ones(2), 1.0)
 
 
 def test_backends_bitwise_identical(c_kernels):
@@ -98,7 +118,9 @@ def test_backends_bitwise_identical(c_kernels):
     diag = np.cumsum(rng.normal(size=3000))
     off = rng.normal(size=2999)
     for shift in (-20.0, -1.0, 0.0, 2.5, 40.0):
-        assert py.sturm_count(diag, off, shift) == c.sturm_count(diag, off, shift)
+        assert _count(py, diag, off, shift) == _count(c, diag, off, shift)
+    py_b2, c_b2 = py.sturm_rows(diag, off)[1], c.sturm_rows(diag, off)[1]
+    assert np.array_equal(np.array(py_b2), c_b2)
     # the N = 8500 operator verify solves at its defaults, at and 1 ulp
     # either side of its bisected eigenvalues, where pivots come closest to 0
     phys = PhysicalParams(omega=1.0, k=1.0)
@@ -109,9 +131,10 @@ def test_backends_bitwise_identical(c_kernels):
     shifts = np.concatenate([values, np.nextafter(values, -np.inf),
                              np.nextafter(values, np.inf), op.gershgorin(),
                              [0.0, 2.0, 1e3]])
-    for shift in shifts:
-        assert (py.sturm_count(op.diagonal, op.off_diagonal, shift)
-                == c.sturm_count(op.diagonal, op.off_diagonal, shift))
+    py_rows = py.sturm_rows(op.diagonal, op.off_diagonal)
+    c_rows = c.sturm_rows(op.diagonal, op.off_diagonal)
+    for shift in shifts:  # numpy scalars, as the bisection passes
+        assert py.sturm_count(*py_rows, shift) == c.sturm_count(*c_rows, shift)
     # (k, omega, x0, v0, step, n_steps): the CLI default orbit, a fine step,
     # a coarse step with strong damping, and the harmonic case
     for args in ((1.0, 1.0, 0.0, 1.5, 1e-3, 6283),

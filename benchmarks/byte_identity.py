@@ -61,6 +61,14 @@ CASES = {
     "wavefn-hbar-1e200": "wavefn --hbar 1e200",
     "verify-k0.1": "verify --k 0.1",
     "verify-omega2-k2": "verify --omega 2 --k 2",
+    "sweep-3d-dup-zero": "sweep --omega-values 2,1,2 --k-values 0.5,1 "
+                         "--alpha-values=0,-0,19,0 --gamma 1",
+    "sweep-3d-dup-zero-json": "sweep --omega-values 2,1,2 --k-values 0.5,1 "
+                              "--alpha-values=0,-0,19,0 --gamma 1 "
+                              "--format json",
+    "sweep-k-values-1-0": "sweep --k-values 1,0",
+    "sweep-omega-values-1--1": "sweep --omega-values 1,-1",
+    "sweep-alpha-bound": "sweep --alpha-values=-9,-200 --gamma 9",
 }
 
 

@@ -17,7 +17,7 @@ LIENARDQM_OUTDIR overrides the default output directory.
 
 import argparse
 import dataclasses
-import itertools
+import functools
 import json
 import math
 import os
@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__, checks, classical, susy, wavefn
 from .errors import LienardError
-from .params import AmbiguityParams, PhysicalParams, derive_params
+from .params import (AmbiguityParams, PhysicalParams, derive_grid,
+                     derive_params)
 
 
 def _option(default, text):
@@ -289,16 +290,6 @@ def cmd_limit(config):
     return 0
 
 
-def _sweep_point(args):
-    omega, k, alpha, gamma, hbar = args
-    phys = PhysicalParams(omega=omega, k=k, hbar=hbar)
-    amb = AmbiguityParams(alpha=alpha, gamma=gamma)
-    derived = derive_params(phys, amb)
-    e0 = susy.ground_state_energy(phys, derived)
-    return (omega, k, alpha, gamma, derived.a_script, derived.lam,
-            derived.shift, e0)
-
-
 def cmd_sweep(config):
     axes, given = [], []
     for name in ("omega", "k", "alpha", "gamma"):
@@ -310,9 +301,14 @@ def cmd_sweep(config):
     count = math.prod(map(len, axes))
     _check_rows(count, f"options {', '.join(given)} with {count} parameter "
                        f"points")
-    points = itertools.product(*axes, (config.hbar,))
-    rows = np.array(sorted(map(_sweep_point, points),
-                           key=lambda r: r[:4]))  # axes may come unsorted
+    omega, k, alpha, gamma = axes
+    a_script, lam, shift = derive_grid(omega, k, config.hbar, alpha, gamma)
+    grid = np.meshgrid(*axes, indexing="ij")
+    e0 = susy.level_energy(0, shift, config.hbar * grid[0])
+    table = np.stack((*grid, a_script, lam, shift, e0), axis=-1).reshape(-1, 8)
+    # axes may come unsorted; the sort is stable, as sorted() is, so points
+    # that compare equal (0 and -0) keep their product order
+    rows = table[np.lexsort(table[:, 3::-1].T)]
     path = _write(config, "sweep", ("omega", "k", "alpha", "gamma",
                                     "a_script", "lambda", "shift", "e0"), rows)
     print(f"sweep: {len(rows)} parameter points -> {path}")
@@ -340,6 +336,7 @@ def _fields(command):
     return [field for field in fields(RunConfig) if field.name in names]
 
 
+@functools.cache  # built once per process; parse_args does not change it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lienardqm", allow_abbrev=False,

@@ -73,19 +73,25 @@ def rk4_lienard(k, omega, x0, v0, step, n_steps):
     xs[0] = x
     vs[0] = v
     h = float(step)
+    # loop invariants, each the same IEEE operation the C twin takes in
+    # every step: Python evaluates -k * x * v as (-k * x) * v, and likewise
+    # 0.5 * h * v and h / 6.0 * (...)
+    mk = -k
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
     for i in range(1, n_steps + 1):
-        a1 = -k * x * v - kk9 * x ** 3 - w2 * x
-        x2 = x + 0.5 * h * v
-        v2 = v + 0.5 * h * a1
-        a2 = -k * x2 * v2 - kk9 * x2 ** 3 - w2 * x2
-        x3 = x + 0.5 * h * v2
-        v3 = v + 0.5 * h * a2
-        a3 = -k * x3 * v3 - kk9 * x3 ** 3 - w2 * x3
+        a1 = mk * x * v - kk9 * x ** 3 - w2 * x
+        x2 = x + half_h * v
+        v2 = v + half_h * a1
+        a2 = mk * x2 * v2 - kk9 * x2 ** 3 - w2 * x2
+        x3 = x + half_h * v2
+        v3 = v + half_h * a2
+        a3 = mk * x3 * v3 - kk9 * x3 ** 3 - w2 * x3
         x4 = x + h * v3
         v4 = v + h * a3
-        a4 = -k * x4 * v4 - kk9 * x4 ** 3 - w2 * x4
-        x += h / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v += h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        a4 = mk * x4 * v4 - kk9 * x4 ** 3 - w2 * x4
+        x += sixth_h * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v += sixth_h * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         xs[i] = x
         vs[i] = v
     return xs, vs

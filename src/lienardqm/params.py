@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConstraintViolationError, DomainError
 
 SQRT2 = math.sqrt(2.0)
+_TINY = np.finfo(float).tiny  # the least positive normal float
 
 
 def _require_finite(params):
@@ -114,6 +115,34 @@ def deformation_factor(phys, p):
     return 1.0 - phys.k * np.asarray(p, dtype=float) / (3.0 * phys.omega ** 2)
 
 
+# The formulas below take floats or numpy arrays: derive_params evaluates
+# them at one point, derive_grid over a grid, with the same IEEE operations
+# in the same order. Powers are not among them: both take those with
+# Python's float **, whose last bit numpy's power does not always match.
+
+
+def _a_script(omega_cubed, k_squared, hbar):
+    """a_script = 9 omega^3 / (hbar k^2), given omega^3 and k^2."""
+    return 9.0 * omega_cubed / (hbar * k_squared)
+
+
+def _in_range(a_script_sq, product):
+    """Whether a_script^2 is a positive normal float and a_script^2 +
+    alpha*gamma is finite."""
+    return (a_script_sq >= _TINY) & (a_script_sq + product < math.inf)
+
+
+def _admissible(a_script_sq, product):
+    """The admissibility bound alpha*gamma > -a_script^2."""
+    return product > -a_script_sq
+
+
+def _lam_shift(a_script, a_script_sq, product, sqrt):
+    """lam = sqrt(a_script^2 + alpha*gamma) and shift = lam - a_script."""
+    lam = sqrt(a_script_sq + product)
+    return lam, lam - a_script
+
+
 def derive_params(phys, amb):
     """Build DerivedParams; requires k > 0 and alpha*gamma > -a_script^2.
 
@@ -129,25 +158,23 @@ def derive_params(phys, amb):
         raise ConstraintViolationError(
             "k = 0 has no deformed parameter set; use the harmonic-limit branch")
     try:
-        a_script = 9.0 * phys.omega ** 3 / (phys.hbar * phys.k ** 2)
+        a_script = _a_script(phys.omega ** 3, phys.k ** 2, phys.hbar)
         a_script_sq = a_script ** 2
     except (OverflowError, ZeroDivisionError):
         # a power beyond the float range, or hbar k^2 underflowing to 0
         a_script = a_script_sq = math.inf
     product = amb.product
-    if not (a_script_sq >= np.finfo(float).tiny  # a positive normal float
-            and a_script_sq + product < math.inf):
+    if not _in_range(a_script_sq, product):
         raise ConstraintViolationError(
             f"omega = {phys.omega}, k = {phys.k}, hbar = {phys.hbar} and "
             f"alpha*gamma = {product} put a_script = 9 omega^3/(hbar k^2), "
             f"a_script^2 or lam = sqrt(a_script^2 + alpha*gamma) outside the "
             f"finite positive normal floats")
-    if product <= -a_script_sq:
+    if not _admissible(a_script_sq, product):
         raise ConstraintViolationError(
             f"ambiguity product alpha*gamma = {product} violates the bound "
             f"alpha*gamma > {-a_script_sq}")
-    lam = math.sqrt(a_script_sq + product)
-    shift = lam - a_script
+    lam, shift = _lam_shift(a_script, a_script_sq, product, math.sqrt)
     b_coef = phys.hbar * phys.k / (3.0 * SQRT2 * phys.omega) * shift
     return DerivedParams(
         a_script=a_script,
@@ -157,3 +184,53 @@ def derive_params(phys, amb):
         b_coef=b_coef,
         p_max=momentum_domain(phys),
     )
+
+
+def _float_powers(values, n):
+    """x ** n for each x of an array, with Python's float ** as
+    derive_params takes it; inf where that overflows."""
+    def power(x):
+        try:
+            return x ** n
+        except OverflowError:
+            return math.inf
+    return np.array([power(x) for x in values.ravel().tolist()],
+                    dtype=float).reshape(values.shape)
+
+
+def derive_grid(omega, k, hbar, alpha, gamma):
+    """a_script, lam and shift of derive_params over a product grid.
+
+    omega, k, alpha and gamma are 1-D sequences (the axes) and hbar one
+    float. Each returned array has shape (len(omega), len(k), len(alpha),
+    len(gamma)), and its entry at (i, j, l, m) equals, bit for bit,
+    derive_params at PhysicalParams(omega[i], k[j], hbar) and
+    AmbiguityParams(alpha[l], gamma[m]).
+
+    Raises ConstraintViolationError naming the first point in that order
+    where PhysicalParams, AmbiguityParams or derive_params would raise,
+    followed by their message.
+    """
+    omega, k, alpha, gamma = np.ix_(*(np.asarray(axis, float)
+                                      for axis in (omega, k, alpha, gamma)))
+    with np.errstate(all="ignore"):  # inf and nan only at rejected points
+        a_script = _a_script(_float_powers(omega, 3), _float_powers(k, 2),
+                             hbar)
+        a_script_sq = _float_powers(a_script, 2)
+        product = alpha * gamma
+        valid = ((omega > 0.0) & (hbar > 0.0) & (k > 0.0)
+                 & _in_range(a_script_sq, product)
+                 & _admissible(a_script_sq, product))
+        if not valid.all():
+            point = np.unravel_index(np.argmin(valid), valid.shape)
+            w, kk, a, g = (float(axis.ravel()[i]) for axis, i in
+                           zip((omega, k, alpha, gamma), point))
+            try:
+                derive_params(PhysicalParams(omega=w, k=kk, hbar=hbar),
+                              AmbiguityParams(alpha=a, gamma=g))
+            except ConstraintViolationError as exc:
+                raise ConstraintViolationError(
+                    f"omega = {w}, k = {kk}, alpha = {a}, gamma = {g}: "
+                    f"{exc}") from None
+        lam, shift = _lam_shift(a_script, a_script_sq, product, np.sqrt)
+    return np.broadcast_to(a_script, valid.shape), lam, shift

@@ -130,9 +130,14 @@ def partner_potentials_from_definitions(phys, derived, p):
     return float(v_minus), float(v_plus)
 
 
+def level_energy(n, shift, hbar_omega):
+    """e_n = (n + 1/2 + shift) hbar omega, for floats or numpy arrays."""
+    return (n + 0.5 + shift) * hbar_omega
+
+
 def ground_state_energy(phys, derived):
     """e_0 = (1/2 + lam - a_script) hbar omega."""
-    return (0.5 + derived.shift) * phys.hbar_omega
+    return level_energy(0, derived.shift, phys.hbar_omega)
 
 
 def riccati_residual(phys, amb, grid, b_offset=0.0):
@@ -199,7 +204,7 @@ def spectrum(phys, amb, n_max):
     else:
         shift = 0.0
         remainder = phys.hbar_omega
-    energies = (n + 0.5 + shift) * phys.hbar_omega
+    energies = level_energy(n, shift, phys.hbar_omega)
     ladder = (0.5 + shift) * phys.hbar_omega + n * remainder
     defect = float(np.max(np.abs(energies - ladder)))
     if defect > 1e-14 * max(1.0, float(np.max(np.abs(energies)))):

@@ -1,16 +1,20 @@
+import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lienardqm import __version__, checks
-from lienardqm.cli import build_parser, main, write_output
+from lienardqm.cli import RunConfig, build_parser, cmd_sweep, main, write_output
+from lienardqm.errors import ConstraintViolationError
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
+from lienardqm.susy import ground_state_energy
 
 
 def _read(path):
@@ -421,6 +425,138 @@ def test_sweep_invalid_tuple_exit_2(tmp_path):
                  "--omega", "1", "--k", "1",
                  "--output", str(tmp_path / "s.csv")])
     assert code == 2
+
+
+_SWEEP_AXES = ("omega", "k", "alpha", "gamma")
+
+
+def _sweep_reference(config, path):
+    """Write the sweep table of config point by point (derive_params and
+    ground_state_energy at each point of the product grid, rows sorted by
+    their first four cells) through write_output. Returns None, or the
+    message naming the first invalid point in product order."""
+    axes = [[float(tok) for tok in getattr(config, f"{name}_values").split(",")]
+            for name in _SWEEP_AXES]
+    rows = []
+    for omega, k, alpha, gamma in itertools.product(*axes):
+        try:
+            phys = PhysicalParams(omega=omega, k=k, hbar=config.hbar)
+            derived = derive_params(phys, AmbiguityParams(alpha=alpha,
+                                                          gamma=gamma))
+        except ConstraintViolationError as exc:
+            return (f"omega = {omega}, k = {k}, alpha = {alpha}, "
+                    f"gamma = {gamma}: {exc}")
+        rows.append((omega, k, alpha, gamma, derived.a_script, derived.lam,
+                     derived.shift, ground_state_energy(phys, derived)))
+    rows.sort(key=lambda row: row[:4])
+    meta = {name: getattr(config, name) for name in
+            ("omega", "k", "hbar", "alpha", "gamma",
+             *(f"{name}_values" for name in _SWEEP_AXES))}
+    write_output(path, ("omega", "k", "alpha", "gamma", "a_script", "lambda",
+                        "shift", "e0"), np.array(rows), meta, config.format)
+    return None
+
+
+@st.composite
+def _sweep_configs(draw):
+    """Sweeps of 1-4 values per axis, unsorted, with repeats and signed
+    zeros. omega scales by t^2 and k by t^3 for t = 10^-45..10^45, which
+    leaves a_script = 9 omega^3/(hbar k^2) in range; alpha*gamma may still
+    break its bound."""
+    t = 10.0 ** draw(st.integers(-45, 45))
+    positive = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 100.0)
+    signed = st.sampled_from([0.0, -0.0, 1.0, 19.0]) | st.floats(-100.0, 100.0)
+
+    def axis(values):
+        return ",".join(map(repr, draw(st.lists(values, min_size=1,
+                                                max_size=4))))
+
+    return RunConfig(omega_values=axis(positive.map(lambda w: w * t * t)),
+                     k_values=axis(positive.map(lambda k: k * t * t * t)),
+                     alpha_values=axis(signed), gamma_values=axis(signed),
+                     hbar=draw(st.just(1.0) | st.floats(0.01, 100.0)),
+                     format=draw(st.sampled_from(["csv", "json"])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_sweep_configs())
+# a_script = 3.767...: its Python ** 2 and its product with itself differ
+# in the last bit, and so does lam = sqrt(a_script^2 + 1)
+@example(config=RunConfig(omega_values="0.65", k_values="0.81",
+                          alpha_values="1", gamma_values="1"))
+@example(config=RunConfig(omega_values="2e90,1e90", k_values="1e135,3e135",
+                          alpha_values="0,-0,0", gamma_values="5,-0",
+                          hbar=1e-3, format="json"))
+@example(config=RunConfig(omega_values="2e-90,1e-90",
+                          k_values="1e-135,3e-135", alpha_values="-0,0",
+                          gamma_values="1e-300", hbar=1e3))
+def test_sweep_matches_point_by_point_reference(tmp_path, config):
+    expected, got = tmp_path / "expected", tmp_path / "got"
+    error = _sweep_reference(config, expected)
+    config = dataclasses.replace(config, output=str(got))
+    if error is None:
+        assert cmd_sweep(config) == 0
+        assert _read(got) == _read(expected)
+    else:
+        with pytest.raises(ConstraintViolationError) as info:
+            cmd_sweep(config)
+        assert str(info.value) == error
+
+
+@pytest.mark.parametrize("flags, hbar, point", [
+    ("--k-values 1,0", 1.0, (1.0, 0.0, 0.0, 0.0)),
+    ("--k-values=1,-0", 1.0, (1.0, -0.0, 0.0, 0.0)),
+    ("--k-values=1,-1", 1.0, (1.0, -1.0, 0.0, 0.0)),
+    ("--omega-values 2,0", 1.0, (0.0, 1.0, 0.0, 0.0)),
+    ("--omega-values 1,-1", 1.0, (-1.0, 1.0, 0.0, 0.0)),
+    ("--omega-values 2,1", 0.0, (2.0, 1.0, 0.0, 0.0)),
+    ("--k-values 1,2", -1.0, (1.0, 1.0, 0.0, 0.0)),
+    ("--alpha-values=0,-9,-200 --gamma 9", 1.0, (1.0, 1.0, -9.0, 9.0)),
+    ("--omega-values 1,1e120", 1.0, (1e120, 1.0, 0.0, 0.0)),
+    ("--omega-values 1,1e60", 1.0, (1e60, 1.0, 0.0, 0.0)),
+], ids=["k-0", "k-minus-0", "k-negative", "omega-0", "omega-negative", "hbar-0",
+        "hbar-negative", "alpha-gamma-bound", "omega-cubed-overflows",
+        "a-script-squared-overflows"])
+def test_sweep_names_its_first_invalid_point(tmp_path, capsys, flags, hbar,
+                                             point):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *flags.split(), f"--hbar={hbar!r}",
+                 "--output", str(out)]) == 2
+    assert not out.exists()
+    # the point, then what the scalar path raises there
+    omega, k, alpha, gamma = point
+    with pytest.raises(ConstraintViolationError) as info:
+        derive_params(PhysicalParams(omega=omega, k=k, hbar=hbar),
+                      AmbiguityParams(alpha=alpha, gamma=gamma))
+    assert capsys.readouterr().err == (
+        f"error: omega = {omega!r}, k = {k!r}, alpha = {alpha!r}, "
+        f"gamma = {gamma!r}: {info.value}\n")
+
+
+def test_parser_is_built_once_and_not_changed_by_use(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    first, second, third = (tmp_path / f"{name}.json"
+                            for name in ("first", "second", "third"))
+    assert main(["spectrum", "--n-max", "2", "--format", "json",
+                 "--output", str(first)]) == 0
+    assert main(["sweep", "--k-values", "1,2", "--format", "json",
+                 "--output", str(second)]) == 0
+    # the flags of one call do not carry into the next
+    assert main(["spectrum", "--format", "json", "--output", str(third)]) == 0
+    spectra = [json.loads(_read(path)) for path in (first, third)]
+    assert [len(payload["rows"]) for payload in spectra] == [3, 6]
+    assert spectra[1]["meta"]["params"]["n_max"] == 5
+    assert len(json.loads(_read(second))["rows"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--n-max", "1"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
+    assert main(["sweep", "--output", str(tmp_path / "s.csv")]) == 0
 
 
 def test_verify_passes_and_fails_by_exit_code(tmp_path, monkeypatch):

@@ -69,6 +69,12 @@ CASES = {
     "sweep-k-values-1-0": "sweep --k-values 1,0",
     "sweep-omega-values-1--1": "sweep --omega-values 1,-1",
     "sweep-alpha-bound": "sweep --alpha-values=-9,-200 --gamma 9",
+    "limit-a-1e-300": "limit --a-values 1e-300",
+    "wavefn-k-1e-30": "wavefn --k 1e-30 --level 1",
+    "wavefn-k0-level-20": "wavefn --k 0 --level 20",
+    "classical-amplitude-1e-200": "classical --amplitude 1e-200",
+    "sweep-k-1e50-1e-50": "sweep --k-values 1e50,1e-50",
+    "wavefn-k0-level-4": "wavefn --k 0 --level 4",
 }
 
 

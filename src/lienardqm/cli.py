@@ -18,6 +18,7 @@ LIENARDQM_OUTDIR overrides the default output directory.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -114,26 +115,187 @@ def _fmt(value):
 
 
 def _cells(column, fmt):
-    """The serialized cells of one column. A float64 array column takes one
-    C-level pass (no float's JSON text holds ", "); any other column is
-    serialized cell by cell."""
+    """The serialized cells of one column of row tuples, or of a float64
+    array in JSON. A float64 array column takes one C-level pass (no
+    float's JSON text holds ", "); any other column is serialized cell by
+    cell. CSV float64 arrays never come here: `_csv_lines` formats them."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        values = column.tolist()
-        if fmt == "csv":
-            return list(map(_FLOAT_CELL.__mod__, values))
-        return json.dumps(values)[1:-1].split(", ")
+        return json.dumps(column.tolist())[1:-1].split(", ")
     return list(map(_fmt if fmt == "csv" else json.dumps, column))
+
+
+# The array formatter handles |v| in [1e-280, 1e280] (decimal exponents
+# x = -281..280); 2^27 + 1 splits a double into two 26-bit halves (Dekker).
+_X_MIN, _X_MAX = -281, 280
+_SPLIT = 134217729.0
+# |frac - 1/2| below which a scaled value counts as a tie. The double-double
+# scaled value is off by under 1e-14 of a unit in the 17th digit.
+_TIE = 1e-9
+_SLOT = 25  # bytes per cell: sign, at most 23 of text, separator
+_CHUNK_CELLS = 2 ** 13  # cells formatted per pass; bounds the temporaries
+
+
+@functools.cache
+def _decimal_tables():
+    """(hi, hi_head, hi_tail, lo, quads), built with integer arithmetic.
+
+    hi[i] + lo[i] is 10^(16 - x) to ~2^-106 relative, for x = _X_MIN + i;
+    hi_head + hi_tail is hi split in two. quads holds the four ASCII digits
+    of 0..9999 as one little-endian uint32, then the same with trailing
+    '0's turned into NUL bytes at 10000 + i.
+    """
+    pairs = []
+    for x in range(_X_MIN, _X_MAX + 1):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi = num / den  # int / int rounds correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        pairs.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    hi, lo = np.array(pairs).T
+    scaled = hi * _SPLIT
+    head = scaled - (scaled - hi)
+    i = np.arange(10000, dtype=np.int16)
+    quads = np.empty((2, 10000, 4), np.uint8)
+    quads[:] = np.stack((i // 1000, i // 100 % 10, i // 10 % 10, i % 10), axis=1) + 48
+    for j in range(3, -1, -1):
+        quads[1, :, j] *= quads[1, :, j:].max(axis=1) > 48
+    return hi, head, hi - head, lo, quads.view("<u4").ravel()
+
+
+def _scaled_digits(values):
+    """(x, D, exact) for a 1-D float64 array: each cell's decimal exponent
+    x (int16), its 17-digit integer D = round(|v| 10^(16 - x)) and whether
+    the two are exact. A cell that is not exact is formatted otherwise.
+
+    x is floor(log10 |v|). |v| 10^(16 - x) is formed as a double-double,
+    Dekker's exact product with the (hi, lo) power of ten. It is not exact
+    for 0, inf, nan and |v| outside [1e-280, 1e280] (all worked as 1), for
+    near-ties, since Python rounds an exact tie half-even, and where the
+    scaled value falls outside [1e16, 1e17) because log10 picked the wrong
+    exponent (e.g. 1e-277, whose double lies just below 10^-277).
+    """
+    hi_t, head_t, tail_t, lo_t, _ = _decimal_tables()
+    mag = np.abs(values)
+    exact = (mag >= 1e-280) & (mag <= 1e280)
+    np.copyto(mag, 1.0, where=~exact)
+    x = np.floor(np.log10(mag)).astype(np.int16)
+    i = x - _X_MIN
+    hi, head = hi_t.take(i), head_t.take(i)
+    # mag * hi = p + err exactly; scaled = p + err + mag * lo
+    p = mag * hi
+    split = mag * _SPLIT
+    mag_head = split - (split - mag)
+    mag_tail = mag - mag_head
+    err = mag_head * head
+    err -= p
+    err += mag_head * tail_t.take(i)
+    err += mag_tail * head
+    err += mag_tail * tail_t.take(i)
+    err += mag * lo_t.take(i)
+    whole = np.floor(err)
+    above_half = err - whole - 0.5
+    digits = p.astype(np.int64) + whole.astype(np.int64)
+    exact &= (digits >= 10 ** 16) & (np.abs(above_half) > _TIE)
+    digits += above_half > 0
+    exact &= digits < 10 ** 17
+    return x, digits, exact
+
+
+def _digit_chars(digits):
+    """The 17 ASCII digits of each D in `digits`, an (n, 17) uint8 matrix
+    in which the trailing '0's are NUL bytes."""
+    quads = _decimal_tables()[-1]
+    high = digits // 10 ** 8  # D = lead, then four groups of four digits
+    low = (digits - high * 10 ** 8).astype(np.int32)
+    lead = high // 10 ** 8
+    high = (high - lead * 10 ** 8).astype(np.int32)
+    g1, g3 = high // 10 ** 4, low // 10 ** 4
+    g2, g4 = high - g1 * 10 ** 4, low - g3 * 10 ** 4
+    quad = np.empty((len(digits), 5), "<u4")
+    quad[:, 0] = (lead + 48) << 24
+    # a group followed only by zero groups takes its stripped form
+    quad[:, 4] = quads.take(g4 + 10000)
+    quad[:, 3] = quads.take(g3 + 10000 * (g4 == 0))
+    low_zero = low == 0
+    quad[:, 2] = quads.take(g2 + 10000 * low_zero)
+    quad[:, 1] = quads.take(g1 + 10000 * (low_zero & (g2 == 0)))
+    return quad.view(np.uint8)[:, 3:]
+
+
+def _csv_lines(block):
+    """The CSV lines of a 2-D float64 block: `'%.17g' % v` in every cell.
+
+    `_scaled_digits` and `_digit_chars` give each cell's exponent x and
+    its 17 digits with trailing zeros stripped. The cells are sorted by x,
+    and each exponent group lays its digits into fixed 25-byte slots by
+    slice assignments, in the %g layout of that x (fixed for -4 <= x < 17,
+    else d.ddde±XX). NUL bytes pad the slots and are dropped at the end.
+    0, inf and nan ('nan' has no sign) are laid out as 1 and patched; the
+    other cells that are not exact go through '%.17g' itself, all together.
+    """
+    values = block.ravel()
+    n = len(values)
+    x, digits, exact = _scaled_digits(values)
+    order = np.argsort(x, kind="stable")
+    chars = _digit_chars(digits.take(order))
+    text = np.zeros((n, _SLOT), np.uint8)
+    start = 0
+    for count, xv in zip(np.bincount(x - _X_MIN), range(_X_MIN, _X_MAX + 1)):
+        if not count:
+            continue
+        t, d = text[start:start + count], chars[start:start + count]
+        start += count
+        if 0 <= xv < 17:  # integer digits keep their zeros: NUL | '0' = '0'
+            np.bitwise_or(d[:, :xv + 1], 48, out=t[:, 1:xv + 2])
+            if xv < 16:  # a point only before a kept digit: min(NUL, '.')
+                np.minimum(d[:, xv + 1], 46, out=t[:, xv + 2])
+                t[:, xv + 3:19] = d[:, xv + 1:]
+        elif -4 <= xv < 0:
+            lead_in = np.frombuffer(b"0." + b"0" * (-xv - 1), np.uint8)
+            t[:, 1:1 + len(lead_in)] = lead_in
+            t[:, 1 + len(lead_in):18 + len(lead_in)] = d
+        else:
+            t[:, 1] = d[:, 0]
+            np.minimum(d[:, 1], 46, out=t[:, 2])
+            t[:, 3:19] = d[:, 1:]
+            suffix = np.frombuffer(b"e%+03d" % xv, np.uint8)
+            t[:, 19:19 + len(suffix)] = suffix
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(n)
+    out = text.take(inverse, axis=0)
+    out[:, 0] = np.signbit(values) * 45
+    out[values == 0, 1] = ord("0")
+    out[np.isinf(values), 1:4] = np.frombuffer(b"inf", np.uint8)
+    out[np.isnan(values), :4] = np.frombuffer(b"\0nan", np.uint8)
+    rest = np.flatnonzero(~exact & np.isfinite(values) & (values != 0))
+    if len(rest):
+        out[rest, :-1] = np.array(
+            [_FLOAT_CELL % v for v in values[rest].tolist()],
+            dtype=f"S{_SLOT - 1}").view(np.uint8).reshape(-1, _SLOT - 1)
+    out.reshape(block.shape + (_SLOT,))[..., -1] = ord(",")
+    out.reshape(block.shape + (_SLOT,))[:, -1, -1] = ord("\n")
+    out = out.ravel()
+    return out[out != 0].tobytes()
 
 
 def write_output(path, columns, rows, meta, fmt):
     """Write rows as CSV (fixed header) or JSON ({meta, rows}).
 
-    rows is a 2-D float64 array or a sequence of row tuples. It is
-    serialized a column at a time, to the same bytes as `_fmt` on every
-    cell (CSV) or `json.dumps(payload, sort_keys=True, indent=1)` (JSON).
+    rows is a 2-D float64 array or a sequence of row tuples; its bytes are
+    those of `_fmt` on every cell (CSV) or of `json.dumps(payload,
+    sort_keys=True, indent=1)` (JSON). A float64 array in CSV is formatted
+    by `_csv_lines` in numpy, in blocks of about `_CHUNK_CELLS` cells, and
+    written block by block. Anything else is serialized a column at a time
+    by `_cells`.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
+    if fmt == "csv" and isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        step = max(1, _CHUNK_CELLS // max(rows.shape[1], 1))
+        starts = range(0, len(rows), step) if rows.size else ()
+        parts = itertools.chain(
+            [(",".join(columns) + "\n").encode()],
+            (_csv_lines(rows[start:start + step]) for start in starts))
+        return _write_parts(path, parts)
     table = rows.T if isinstance(rows, np.ndarray) else zip(*rows)
     cells = [_cells(column, fmt) for column in table] if len(rows) else []
     if fmt == "csv":
@@ -152,9 +314,14 @@ def write_output(path, columns, rows, meta, fmt):
             body = map(row.__mod__, zip(*(cells[index[key]] for key in keys)))
             text = text[:-len("[]\n}")] + "[\n" + ",\n".join(body) + "\n ]\n}"
         text += "\n"
+    return _write_parts(path, [text.encode("utf-8")])
+
+
+def _write_parts(path, parts):
+    """Write the byte strings `parts` to path, one after another."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
     except OSError as exc:
         raise LienardError(f"cannot write output file {path}: {exc}") from exc
     return path
@@ -237,7 +404,9 @@ def cmd_wavefn(config):
         y = wavefn.y_of_p(phys, derived, p)
     else:
         derived = None
-        half = 6.0 * math.sqrt(phys.hbar_omega)
+        # 3 sqrt(hbar omega) past the level's turning point sqrt(2n + 1),
+        # and never under the 6 sqrt(hbar omega) levels 0..4 have always had
+        half = max(6.0, math.sqrt(2 * n + 1) + 3.0) * math.sqrt(phys.hbar_omega)
         p = np.linspace(-half, half, config.samples)
         y = np.full_like(p, math.nan)
     values = wavefn.psi(phys, derived, n, p)

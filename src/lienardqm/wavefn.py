@@ -116,12 +116,22 @@ def support_window(phys, derived, n):
     the narrow side (floored at y = 0.06 lam where the y^lam factor has
     crushed the state), leaving both ends below ~1e-10 of the peak. That is
     what the finite-difference operators require of their samples.
+    DomainError if the window has no width at float resolution (k so
+    small that the y -> p map cancels, e.g. k = 1e-30).
     """
     pad = 40.0 * n + 80.0 + 10.0 * math.sqrt(derived.lam)
     y_hi = 2.0 * derived.lam + pad
     y_lo = max(0.06 * derived.lam, 2.0 * derived.lam - pad)
-    return (float(p_of_y(phys, derived, y_hi)),
-            float(p_of_y(phys, derived, y_lo)))
+    lo, hi = (float(p_of_y(phys, derived, y_hi)),
+              float(p_of_y(phys, derived, y_lo)))
+    if not lo < hi:
+        # p = sqrt(a_script hbar omega) (1 - y / (2 a_script)) cancels to
+        # one value when pad / (2 a_script) is below float resolution
+        raise DomainError(f"the momentum window of psi_{n} has no width in "
+                          f"float64 at k = {phys.k:g} (lam = "
+                          f"{derived.lam:.6g}): y / (2 a_script) rounds to 1 "
+                          f"across it")
+    return lo, hi
 
 
 def overlap_matrix(phys, derived, n_max):
@@ -172,7 +182,8 @@ def laguerre_hermite_limit(n, x, a_script_values):
     """Convergence of (2 sqrt a)^-n L_n^{2a}(2a - 2 sqrt(a) x) to H_n(x)/(2^n n!).
 
     Returns rows (a_script, scaled value, limit value, |deviation|); the
-    deviation decays like a_script^{-1/2}. OverflowGuardError if not finite.
+    deviation decays like a_script^{-1/2}. OverflowGuardError if the scale
+    factor or the scaled value is not finite.
     """
     if not 0 <= n <= 5:
         raise ValueError(f"n must be in 0..5, got {n}")
@@ -180,8 +191,13 @@ def laguerre_hermite_limit(n, x, a_script_values):
     rows = []
     for a in a_script_values:
         root = math.sqrt(a)
-        scaled = (2.0 * root) ** (-n) * laguerre_assoc(
-            n, 2.0 * a, 2.0 * a - 2.0 * root * x)
+        try:
+            factor = (2.0 * root) ** (-n)
+        except OverflowError:  # a Python float power raises, errstate or not
+            raise OverflowGuardError(
+                f"the Laguerre-Hermite limit at n = {n} overflows at scale "
+                f"{a:g}: (2 sqrt(scale))^-{n} exceeds the float range") from None
+        scaled = factor * laguerre_assoc(n, 2.0 * a, 2.0 * a - 2.0 * root * x)
         if not math.isfinite(scaled):
             raise OverflowGuardError(f"the Laguerre-Hermite limit at n = {n} "
                                      f"is not finite at scale {a:g}: its "

@@ -87,6 +87,17 @@ def test_wavefn_csv_schema(tmp_path):
     assert len(lines) == 302
 
 
+@pytest.mark.parametrize("level", [10, 20, 100])
+def test_wavefn_k0_window_keeps_the_norm(tmp_path, level):
+    # the window reaches 3 sqrt(hbar omega) past the turning point
+    # sqrt(2n + 1); a fixed +-6 lost 7.6e-6, 0.20 and 0.72 of these norms
+    out = tmp_path / "wf.csv"
+    assert main(["wavefn", "--k", "0", "--hbar", "0.25", "--level", str(level),
+                 "--output", str(out)]) == 0
+    p, _, values = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+    assert abs(np.trapezoid(values ** 2, p) - 1.0) < 1e-10
+
+
 RERUN_CASES = {
     "spectrum": "spectrum --omega 1.7 --k 0.3 --alpha 2 --gamma 3 --n-max 4",
     "classical": "classical --omega 1.05 --k 0.9 --amplitude 0.8 --step 0.01",
@@ -182,6 +193,36 @@ def test_write_output_matches_cell_by_cell_reference(tmp_path, table, meta,
     write_output(out, columns, rows, meta, fmt)
     with open(out, encoding="utf-8", newline="") as fh:
         assert fh.read() == _reference_output(columns, rows, meta, fmt)
+
+
+def _percent_17g_cases():
+    """float64 values that reach every path of the array CSV formatter."""
+    rng = np.random.default_rng(20261018)
+    tens = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    ties = rng.integers(2 ** 52, 2 ** 53, 2000) / 4.0  # m/4 in [2^50, 2^51)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                -2.5e-320, 1e-310, np.finfo(float).max, -np.finfo(float).max,
+                np.finfo(float).tiny, 1e-5, 1e-4, 9.9999999999999991e-5,
+                0.00012345, 1e16, 1e17, 99999999999999984.0,
+                12345678901234567.0, 1125899906842624.25, 0.5, 1.0, 100.0]
+    return np.concatenate([
+        rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), -tens,
+        ties, -ties, specials,
+        rng.standard_normal(2000) * 10.0 ** rng.integers(-120, 120, 2000)])
+
+
+def test_csv_array_cells_match_percent_17g(tmp_path):
+    values = _percent_17g_cases()
+    rows = values[:len(values) // 3 * 3].reshape(-1, 3)
+    out = tmp_path / "o.csv"
+    write_output(out, ("a", "b", "c"), rows, {}, "csv")
+    with open(out, "rb") as fh:
+        got = fh.read().split(b"\n")
+    assert got[0] == b"a,b,c" and got[-1] == b"" and len(got) == len(rows) + 2
+    want = (",".join(["%.17g"] * 3) % tuple(row) for row in rows.tolist())
+    for line, text in zip(got[1:], want):
+        assert line == text.encode()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -313,6 +354,11 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("wavefn --level 200", "psi_200 is not finite at lam = 9"),
     ("limit --a-values 1e154", "the Laguerre-Hermite limit at n = 4 is not "
                                "finite at scale 1e+154"),
+    ("limit --a-values 1e-300", "the Laguerre-Hermite limit at n = 3 "
+                                "overflows at scale 1e-300"),
+    ("wavefn --k 1e-30 --level 1", "the momentum window of psi_1 has no "
+                                   "width in float64 at k = 1e-30 (lam = "
+                                   "9e+60)"),
     ("spectrum --n-max 100000000", "option 'n_max' = 100000000 would give "
                                    "more than 1000000 output rows"),
     ("spectrum --n-max 1000000", "option 'n_max' = 1000000 would give"),
@@ -333,6 +379,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
         "wavefn-samples-negative", "verify-operator-window-huge",
         "verify-lam-grid-huge", "limit-n-max-over-5", "verify-lam-4-window",
         "verify-lam-1-window", "wavefn-level-200", "limit-a-values-overflow",
+        "limit-a-values-tiny", "wavefn-k-tiny-window",
         "spectrum-n-max-huge", "spectrum-n-max-one-over", "classical-step-tiny",
         "classical-one-row-over", "wavefn-samples-huge", "sweep-axes-huge"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):

@@ -75,6 +75,7 @@ CASES = {
     "classical-amplitude-1e-200": "classical --amplitude 1e-200",
     "sweep-k-1e50-1e-50": "sweep --k-values 1e50,1e-50",
     "wavefn-k0-level-4": "wavefn --k 0 --level 4",
+    "wavefn-k-1e-9": "wavefn --k 1e-9 --level 0",
 }
 
 

@@ -29,7 +29,7 @@ from typing import get_args
 import numpy as np
 
 from . import __version__, checks, classical, susy, wavefn
-from .errors import LienardError
+from .errors import LienardError, OverflowGuardError
 from .params import (AmbiguityParams, PhysicalParams, derive_grid,
                      derive_params)
 
@@ -409,7 +409,13 @@ def cmd_wavefn(config):
         half = max(6.0, math.sqrt(2 * n + 1) + 3.0) * math.sqrt(phys.hbar_omega)
         p = np.linspace(-half, half, config.samples)
         y = np.full_like(p, math.nan)
-    values = wavefn.psi(phys, derived, n, p)
+    try:
+        values = wavefn.psi(phys, derived, n, p)
+    except OverflowGuardError as exc:
+        lam = "" if derived is None else f", lam = {derived.lam:.6g}"
+        raise OverflowGuardError(
+            f"wavefn at k = {phys.k:g}, hbar = {phys.hbar:g}, omega = "
+            f"{phys.omega:g}{lam} and level {n}: {exc}") from None
     rows = np.column_stack((p, y, values))
     path = _write(config, "wavefn", ("p", "y", "psi"), rows)
     print(f"wavefn: level {n}, {len(rows)} samples -> {path}")

@@ -9,12 +9,12 @@ are extracted by Sturm-count bisection and compared with the algebraic
 levels (n + 1/2 + lam - a_script) hbar omega.
 
 verify_spectrum solves a chain of pilot grids, then grid N and grid
-2N + 1, coarse to fine. Each grid's bisection is given probes: Sturm
-counts taken first at shifts just below and above where the coarser grids
-put each level. The count is monotone in the shift, so a probe is bracket
+2N + 1, coarse to fine. Each grid's bisection first takes Sturm counts
+around a guess of each level extrapolated from the coarser grids. The
+count is monotone in the shift, so such a count is bracket
 information of the same kind as a bisection midpoint: it decides
 midpoints without a sweep but never changes which way one goes, and every
-reported eigenvalue keeps the bits of a plain bisection. The probes come
+reported eigenvalue keeps the bits of a plain bisection. The guesses come
 from the solver's own coarser solutions, never from the algebraic
 spectrum it is checked against.
 """
@@ -34,9 +34,8 @@ from .susy import spectrum
 BISECTION_TOL = 1e-10
 _MAX_BISECTIONS = 200
 MIN_POINTS = 500
-# probe margins of verify_spectrum, see _probes
-_COARSE_MARGIN = 0.1
-_RICHARDSON_MARGIN = 1e-4
+_COARSE_MARGIN = 0.1  # see _guesses
+_WIDENING, _MAX_WIDENINGS = 16.0, 8  # see lowest_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,7 @@ class YGrid:
 
     y_max: float
     n_points: int
+    _floor = MIN_POINTS  # least n_points; a class attribute, not a field
 
     def __post_init__(self):
         if not 0.0 < self.y_max < math.inf:
@@ -55,9 +55,9 @@ class YGrid:
         if not isinstance(self.n_points, numbers.Integral):
             raise ValueError(
                 f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < MIN_POINTS:
+        if self.n_points < self._floor:
             raise ValueError(
-                f"need at least {MIN_POINTS} grid points, got {self.n_points}")
+                f"need at least {self._floor} grid points, got {self.n_points}")
 
     @property
     def spacing(self):
@@ -70,6 +70,12 @@ class YGrid:
     def refined(self):
         """Grid with exactly half the spacing (n -> 2n + 1)."""
         return YGrid(y_max=self.y_max, n_points=2 * self.n_points + 1)
+
+
+class _PilotGrid(YGrid):
+    """A coarse grid that verify_spectrum solves only to place guesses."""
+
+    _floor = 60
 
 
 def default_y_max(lam, n_target):
@@ -133,7 +139,7 @@ def _record_count(op, shift, below, above):
             below[j] = max(below[j], shift)
 
 
-def lowest_eigenvalues(op, count, probes=()):
+def lowest_eigenvalues(op, count, guesses=()):
     """The `count` smallest eigenvalues, each bisected to 1e-10 absolute.
 
     Bisection on the Sturm count is deterministic and needs no dense
@@ -148,24 +154,36 @@ def lowest_eigenvalues(op, count, probes=()):
     is the one a sweep would give: every level visits the same midpoints
     and returns the same bits as a plain bisection, with fewer sweeps.
 
-    `probes` are extra shifts counted before the bisection starts, e.g.
-    guesses of the eigenvalues from a coarser grid. Their counts enter
-    below/above like a midpoint's, and for the same reason they cannot
-    move a bit: start brackets, midpoints and stop rule are untouched, so
-    any list of probes (unsorted, repeated, outside the spectrum, or on an
-    eigenvalue) returns the values a plain bisection returns. A probe
-    close to an eigenvalue only decides more midpoints without a sweep.
+    `guesses` holds at most one (centre, margin) pair per level, from
+    level 0 up. Before the bisection, level j is counted at centre -+
+    margin; on a side where the level lies beyond the shift, the margin
+    widens 16-fold, at most 8 times, until a count brackets the level.
+    Shifts that below/above already decide, or that are not finite, are
+    not counted. These counts enter below/above like a midpoint's, so they
+    cannot move a bit either: any guesses (far off, on an eigenvalue, with
+    a subnormal or huge margin, NaN or infinite) return the values a plain
+    bisection returns. A close guess decides more midpoints without a
+    sweep; a wrong one costs at most 18 counts.
     """
     if not 1 <= count <= 10:
         raise ValueError(f"count must be in 1..10, got {count}")
     if count > op.dim:
         raise ValueError(
             f"count {count} exceeds the dimension {op.dim} of the operator")
+    if len(guesses) > count:
+        raise ValueError(
+            f"{len(guesses)} guesses for {count} levels; at most one a level")
     lo_all, hi_all = op.gershgorin()
     below = [-math.inf] * count
     above = [math.inf] * count
-    for shift in probes:
-        _record_count(op, shift, below, above)
+    for j, (centre, margin) in enumerate(guesses):
+        for step in (-margin, margin):
+            for _ in range(_MAX_WIDENINGS + 1):
+                shift = centre + step
+                if not below[j] < shift < above[j]:
+                    break
+                _record_count(op, shift, below, above)
+                step *= _WIDENING
     out = np.empty(count)
     lo_start = lo_all
     for k in range(count):
@@ -217,30 +235,26 @@ class SpectrumComparison:
         return self.errors / self.refined_errors
 
 
-def _probes(hbar_omega, solved, grid, op):
-    """Shifts bracketing each level on grid, placed from coarser solutions.
+def _guesses(hbar_omega, solved, grid):
+    """A (centre, margin) guess per level on grid.
 
-    After one coarser grid (spacing h1) a level sits within the h^2 error
-    scale of its value there: E1 +- 0.1 hbar omega h1^2. After two, the
-    Richardson guess E2 + (E2 - E1)(h^2 - h2^2)/(h2^2 - h1^2) is off by the
-    h^4 term and by the rounding of the Sturm counts behind E1 and E2, so
-    the margin is 1e-4 |E2 - E1| plus 2 eps ||op||. The guess only places
-    probes; the bisection still returns its own bits (lowest_eigenvalues).
+    solved holds the (grid, eigenvalues) of the coarser grids. A level
+    moves as c0 + c1 h^2 + c2 h^4 + ..., so the centre is the polynomial in
+    h^2 through the last (at most three) solved grids, taken at this h^2.
+    After one grid (spacing h1) that is the level there, within the h^2
+    error scale 0.1 hbar omega h1^2. After more, it is off by the next
+    power of h^2 and the coarser values' bisection tolerance, so the margin
+    is 2 BISECTION_TOL; lowest_eigenvalues widens it on a miss.
     """
     if not solved:
         return ()
-    if len(solved) == 1:
-        (coarse, values), = solved
-        centres = values
-        margin = _COARSE_MARGIN * hbar_omega * coarse.spacing ** 2
-    else:
-        (g1, e1), (g2, e2) = solved[-2:]
-        h1, h2, h = g1.spacing ** 2, g2.spacing ** 2, grid.spacing ** 2
-        centres = e2 + (e2 - e1) * (h - h2) / (h2 - h1)
-        norm = max(abs(bound) for bound in op.gershgorin())
-        margin = (_RICHARDSON_MARGIN * np.abs(e2 - e1)
-                  + 2.0 * np.finfo(float).eps * norm)
-    return np.concatenate([centres - margin, centres + margin]).tolist()
+    last = [(g.spacing ** 2, values) for g, values in solved[-3:]]
+    centres = sum(values * math.prod((grid.spacing ** 2 - xj) / (xi - xj)
+                                     for xj, _ in last if xj != xi)
+                  for xi, values in last)
+    margin = (_COARSE_MARGIN * hbar_omega * last[0][0] if len(last) == 1
+              else 2.0 * BISECTION_TOL)
+    return [(c, margin) for c in centres]
 
 
 def verify_spectrum(phys, amb, n_max, grid):
@@ -251,23 +265,24 @@ def verify_spectrum(phys, amb, n_max, grid):
 
     The grids are solved coarse to fine, starting from a chain of pilot
     grids: each has (n - 3) // 4 points for the n of the grid after it,
-    ~4x its spacing, and the chain grows while that keeps MIN_POINTS
-    points. Each grid's bisection is probed where the coarser ones put its
-    levels (_probes). Probes save Sturm sweeps but cannot move a bit of the
-    reported eigenvalues; the pilots' are used for nothing else.
+    ~4x its spacing, and the chain grows while that keeps 60 points
+    (_PilotGrid; a caller's grid needs MIN_POINTS). Each grid's bisection
+    starts from guesses extrapolated from the coarser ones (_guesses). They
+    save Sturm sweeps but cannot move a bit of the reported eigenvalues;
+    the pilots' are used for nothing else.
     """
     if not 0 <= n_max <= 5:
         raise ValueError(f"n_max must be in 0..5, got {n_max}")
     table = spectrum(phys, amb, n_max)
     grids = [grid, grid.refined()]
-    while (grids[0].n_points - 3) // 4 >= MIN_POINTS:
-        grids.insert(0, YGrid(y_max=grid.y_max,
-                              n_points=(grids[0].n_points - 3) // 4))
+    while (grids[0].n_points - 3) // 4 >= _PilotGrid._floor:
+        grids.insert(0, _PilotGrid(y_max=grid.y_max,
+                                   n_points=(grids[0].n_points - 3) // 4))
     solved = []
     for g in grids:
         op = build_operator(phys, amb, g)
-        probes = _probes(phys.hbar_omega, solved, g, op)
-        solved.append((g, lowest_eigenvalues(op, n_max + 1, probes)))
+        guesses = _guesses(phys.hbar_omega, solved, g)
+        solved.append((g, lowest_eigenvalues(op, n_max + 1, guesses)))
     return SpectrumComparison(analytic=table.energies,
                               numeric=solved[-2][1],
                               refined_numeric=solved[-1][1])

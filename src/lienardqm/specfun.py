@@ -64,12 +64,6 @@ def quadrature_nodes(y_max, panels, order):
     return nodes, weights
 
 
-def integrate_sampled(f, y_max, panels, order):
-    """Integral of f over [0, y_max] with the composite rule (test oracle)."""
-    nodes, weights = quadrature_nodes(y_max, panels, order)
-    return float(np.dot(weights, f(nodes)))
-
-
 def weighted_laguerre_cutoff(alpha, n):
     """Truncation point for integrals against y**alpha * exp(-y) * L_n**2.
 

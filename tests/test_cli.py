@@ -352,6 +352,9 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
                                      "hbar = 1 and alpha*gamma = -80, "
                                      "leaves psi_0"),
     ("wavefn --level 200", "psi_200 is not finite at lam = 9"),
+    ("wavefn --k 1e-9 --level 0", "wavefn at k = 1e-09, hbar = 1, omega = 1, "
+                                  "lam = 9e+18 and level 0: log-space "
+                                  "exponent exceeded 700"),
     ("limit --a-values 1e154", "the Laguerre-Hermite limit at n = 4 is not "
                                "finite at scale 1e+154"),
     ("limit --a-values 1e-300", "the Laguerre-Hermite limit at n = 3 "
@@ -378,7 +381,8 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
         "verify-omega-beyond-rk4-step", "wavefn-samples-zero",
         "wavefn-samples-negative", "verify-operator-window-huge",
         "verify-lam-grid-huge", "limit-n-max-over-5", "verify-lam-4-window",
-        "verify-lam-1-window", "wavefn-level-200", "limit-a-values-overflow",
+        "verify-lam-1-window", "wavefn-level-200", "wavefn-k-tiny-exponent",
+        "limit-a-values-overflow",
         "limit-a-values-tiny", "wavefn-k-tiny-window",
         "spectrum-n-max-huge", "spectrum-n-max-one-over", "classical-step-tiny",
         "classical-one-row-over", "wavefn-samples-huge", "sweep-axes-huge"])

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lienardqm import checks, kernels, susy
+from lienardqm import checks, eigensolver, kernels, susy
 from lienardqm.eigensolver import (BISECTION_TOL, TridiagonalOperator, YGrid,
                                    build_operator, default_y_max,
                                    lowest_eigenvalues, sign_changes,
@@ -132,6 +133,8 @@ def test_count_validation():
                               off_diagonal=np.array([0.0]))
     with pytest.raises(ValueError, match="count 3 exceeds the dimension 2"):
         lowest_eigenvalues(two, 3)
+    with pytest.raises(ValueError, match="3 guesses for 2 levels"):
+        lowest_eigenvalues(two, 2, [(1.0, 0.1)] * 3)
 
 
 def _plain_bisection(op, count):
@@ -174,11 +177,13 @@ def test_shared_brackets_bit_identical_with_fewer_sweeps(
 
 
 _entries = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+# most counts one guess can take: each side widens _MAX_WIDENINGS times
+_GUESS_COUNTS = 2 * (eigensolver._MAX_WIDENINGS + 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_probes_never_move_a_bit(data):
+def test_guesses_never_move_a_bit(data):
     dim = data.draw(st.integers(1, 12), label="dim")
     op = TridiagonalOperator(
         diagonal=np.array(data.draw(st.lists(_entries, min_size=dim,
@@ -186,21 +191,56 @@ def test_probes_never_move_a_bit(data):
         off_diagonal=np.array(data.draw(st.lists(_entries, min_size=dim - 1,
                                                  max_size=dim - 1))))
     count = data.draw(st.integers(1, min(dim, 10)), label="count")
-    plain = lowest_eigenvalues(op, count)
-    lo, hi = op.gershgorin()
-    # anywhere, beyond the spectrum, exactly on a computed eigenvalue, and
-    # within a few tolerances of one; repeated and in any order
-    shifts = st.one_of(
-        st.floats(lo - 10.0, hi + 10.0),
-        st.sampled_from([lo - 1.0, hi + 1.0, -1e300, 1e300]),
-        st.sampled_from(plain.tolist()),
-        st.builds(lambda v, d: v + d * BISECTION_TOL,
-                  st.sampled_from(plain.tolist()), st.integers(-4, 4)))
-    probes = data.draw(st.lists(shifts, max_size=12), label="probes")
-    probes += data.draw(st.lists(st.sampled_from(probes), max_size=4)
-                        if probes else st.just([]), label="repeats")
-    probed = lowest_eigenvalues(op, count, probes)
-    assert [v.hex() for v in probed] == [v.hex() for v in plain]
+    with mock.patch.object(kernels, "sturm_count",
+                           wraps=kernels.sturm_count) as sweeps:
+        plain = _plain_bisection(op, count)
+        midpoints = sweeps.call_count
+        lo, hi = op.gershgorin()
+        # anywhere, beyond the spectrum, exactly on a computed eigenvalue,
+        # within a few tolerances of one, and not finite; margins from
+        # subnormal to huge. A subnormal margin at 0 would widen for ~270
+        # counts if the widening were not bounded.
+        centres = st.one_of(
+            st.floats(lo - 10.0, hi + 10.0),
+            st.sampled_from([lo - 1.0, hi + 1.0, -1e300, 1e300, 0.0,
+                             math.nan, math.inf, -math.inf]),
+            st.sampled_from(plain.tolist()),
+            st.builds(lambda v, d: v + d * BISECTION_TOL,
+                      st.sampled_from(plain.tolist()), st.integers(-4, 4)))
+        margins = st.one_of(
+            st.floats(5e-324, 1e300),
+            st.sampled_from([5e-324, 1e-300, BISECTION_TOL, 1.0, 1e300]))
+        tiny = st.tuples(st.just(0.0), st.sampled_from([5e-324, 1e-300]))
+        guesses = data.draw(st.lists(st.tuples(centres, margins) | tiny,
+                                     max_size=count), label="guesses")
+        sweeps.reset_mock()
+        guessed = lowest_eigenvalues(op, count, guesses)
+    assert [v.hex() for v in guessed] == [v.hex() for v in plain]
+    # each midpoint is counted at most once, every guess at most
+    # _GUESS_COUNTS times
+    assert sweeps.call_count <= midpoints + _GUESS_COUNTS * len(guesses)
+
+
+def test_guess_widening_is_bounded():
+    # a 1x1 matrix: the Gershgorin bounds meet at its eigenvalue 1e3, so the
+    # bisection takes no count and every count is the guess's own
+    op = TridiagonalOperator(diagonal=np.array([1e3]),
+                             off_diagonal=np.array([]))
+    for guess, counts in [
+            # one count below the level, then 9 above it: 5e-324 .. ~2e-314
+            ((0.0, 5e-324), 1 + _GUESS_COUNTS // 2),
+            ((1e3, 1.0), 2),
+            ((5e3, 1.0), 4),    # 4999, 4984, 4744, then 904 brackets it
+            ((0.0, -1.0), 4),   # a negative margin: 1, 16, 256, 4096
+            ((1e3, 0.0), 1),    # on the level, with nothing to widen
+            ((math.nan, 1.0), 0), ((math.inf, 1.0), 0),
+            ((-math.inf, 1.0), 0), ((0.0, math.nan), 0),
+            ((0.0, math.inf), 0)]:
+        with mock.patch.object(kernels, "sturm_count",
+                               wraps=kernels.sturm_count) as sweeps:
+            values = lowest_eigenvalues(op, 1, [guess])
+        assert sweeps.call_count == counts, guess
+        assert values.tolist() == [1e3]
 
 
 def _count_rows(monkeypatch):
@@ -218,24 +258,56 @@ def test_verify_spectrum_coarse_to_fine_work_and_bits(monkeypatch):
     grid = YGrid(y_max=default_y_max(derived.lam, 2), n_points=8500)
     rows = _count_rows(monkeypatch)
     cmp = verify_spectrum(PHYS, AMB19, 2, grid)
-    # plain bisection of grids N and 2N + 1 sweeps 3,145,124 rows
-    assert sum(rows) <= 1_078_234
-    # two pilots, grid N, grid 2N + 1
-    assert set(rows) == {530, 2124, 8500, 17001}
+    # plain bisection of grids N and 2N + 1 sweeps 3,145,124 rows, and
+    # flat probes from two pilots 1,078,234
+    assert sum(rows) <= 600_203
+    # three pilots, grid N, grid 2N + 1
+    assert set(rows) == {131, 530, 2124, 8500, 17001}
     for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):
         plain = lowest_eigenvalues(build_operator(PHYS, AMB19, g), 3)
         assert [v.hex() for v in solved] == [v.hex() for v in plain]
 
 
-def test_verify_spectrum_one_pilot_when_the_next_falls_below_the_floor(
-        monkeypatch):
-    # the acceptance grid: (1499 - 3) // 4 = 374 points would be a second
-    # pilot below the 500 floor, so the chain holds one
+@pytest.mark.parametrize("omega, k, product, n_max, n_points", [
+    (0.99, 1.01, 0.0, 2, None), (1.03, 0.97, 19.0, 2, None),
+    (1.01, 0.99, 19.0, 2, None), (1.0, 1.0, 19.0, 3, 6000)],
+    ids=["box-low-lam", "box-high-lam", "box-inner", "acceptance-N6000"])
+def test_verify_spectrum_bits_equal_plain_bisection(omega, k, product, n_max,
+                                                    n_points):
+    # points of the benchmark's verify box on the grids verify picks, and
+    # the acceptance grid
+    phys = PhysicalParams(omega=omega, k=k)
+    amb = AmbiguityParams(alpha=product, gamma=1.0)
+    grid = (checks._eigensolver_grid(phys, amb, derive_params(phys, amb))
+            if n_points is None else YGrid(y_max=150.0, n_points=n_points))
+    cmp = verify_spectrum(phys, amb, n_max, grid)
+    for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):
+        plain = _plain_bisection(build_operator(phys, amb, g), n_max + 1)
+        assert [v.hex() for v in solved] == [v.hex() for v in plain]
+
+
+def test_verify_spectrum_pilot_chain_stops_below_60_points(monkeypatch):
+    # the acceptance grid: pilots of 1499, 374 and 92 points; (92 - 3) // 4
+    # = 22 points would fall below the 60-point pilot floor
     grid = YGrid(y_max=150.0, n_points=6000)
     rows = _count_rows(monkeypatch)
     verify_spectrum(PHYS, AMB19, 3, grid)
-    assert set(rows) == {1499, 6000, 12001}
-    assert sum(rows) == 1_418_889
+    assert set(rows) == {92, 374, 1499, 6000, 12001}
+    assert sum(rows) == 725_805
+
+
+def test_verify_spectrum_pilots_below_the_caller_grid_floor(monkeypatch):
+    # pilots of 499 and 124 points, below the MIN_POINTS = 500 that a
+    # caller's YGrid must hold; (124 - 3) // 4 = 30 would fall below 60
+    grid = YGrid(y_max=150.0, n_points=2002)
+    rows = _count_rows(monkeypatch)
+    cmp = verify_spectrum(PHYS, AMB19, 2, grid)
+    assert set(rows) == {124, 499, 2002, 4005}
+    assert sum(rows) == 257_246
+    plain = lowest_eigenvalues(build_operator(PHYS, AMB19, grid.refined()), 3)
+    assert [v.hex() for v in cmp.refined_numeric] == [v.hex() for v in plain]
+    with pytest.raises(ValueError, match="at least 500 grid points"):
+        YGrid(y_max=150.0, n_points=499)
 
 
 def test_operator_forms_sturm_rows_once(monkeypatch):
@@ -246,23 +318,13 @@ def test_operator_forms_sturm_rows_once(monkeypatch):
                         or sturm_rows(*args))
     sweeps = _count_rows(monkeypatch)
     op = build_operator(PHYS, AMB19, YGrid(y_max=150.0, n_points=2000))
-    lowest_eigenvalues(op, 3, probes=[1.4, 1.6, 2.4, 2.6])
+    lowest_eigenvalues(op, 3, guesses=[(1.5, 0.1), (2.5, 0.1)])
     assert formed == [2000]
     assert len(sweeps) > 50
     # one operator per grid of verify_spectrum, each formed once
     formed.clear()
     verify_spectrum(PHYS, AMB19, 2, YGrid(y_max=150.0, n_points=8500))
-    assert formed == [530, 2124, 8500, 17001]
-
-
-def test_verify_spectrum_without_pilot_below_the_point_floor(monkeypatch):
-    # (2002 - 3) // 4 = 499 pilot points would fall below the 500 floor
-    grid = YGrid(y_max=150.0, n_points=2002)
-    rows = _count_rows(monkeypatch)
-    cmp = verify_spectrum(PHYS, AMB19, 2, grid)
-    assert set(rows) == {2002, 4005}
-    plain = lowest_eigenvalues(build_operator(PHYS, AMB19, grid.refined()), 3)
-    assert [v.hex() for v in cmp.refined_numeric] == [v.hex() for v in plain]
+    assert formed == [131, 530, 2124, 8500, 17001]
 
 
 def test_verify_spectrum_against_algebraic_levels():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lienardqm.specfun import (hermite, integrate_sampled, laguerre_assoc,
-                               quadrature_nodes, weighted_laguerre_cutoff)
+from lienardqm.specfun import (hermite, laguerre_assoc, quadrature_nodes,
+                               weighted_laguerre_cutoff)
 
 
 # ------------------------------------------------------------------ Laguerre
@@ -126,6 +126,12 @@ def test_hermite_orthogonality_by_quadrature():
 
 
 # ---------------------------------------------------------------- quadrature
+
+def integrate_sampled(f, y_max, panels, order):
+    """Integral of f over [0, y_max] with the composite rule."""
+    nodes, weights = quadrature_nodes(y_max, panels, order)
+    return float(np.dot(weights, f(nodes)))
+
 
 def test_log_gamma_half_integer_against_quadrature():
     # integral of t^(-1/2) e^(-t) over (0, inf) is Gamma(1/2) = sqrt(pi);

@@ -76,6 +76,7 @@ CASES = {
     "sweep-k-1e50-1e-50": "sweep --k-values 1e50,1e-50",
     "wavefn-k0-level-4": "wavefn --k 0 --level 4",
     "wavefn-k-1e-9": "wavefn --k 1e-9 --level 0",
+    "verify-box-high-lam": "verify --omega 1.03 --k 0.97 --alpha 19 --gamma 1",
 }
 
 

@@ -16,7 +16,7 @@ from .classical import (OscillatorState, Trajectory, analytic_solution,
                         jlm_condition_residual, jlm_sigma_roots, lagrangian,
                         lienard_rhs, phase_constraint_value)
 from .eigensolver import (TridiagonalOperator, YGrid, build_operator,
-                          default_y_max, lowest_eigenvalues, verify_spectrum)
+                          lowest_eigenvalues, verify_spectrum, window_y_max)
 from .errors import (AmplitudeRangeError, ConstraintViolationError,
                      ConvergenceError, DomainError, GridMismatchError,
                      LienardError, OverflowGuardError)

@@ -93,16 +93,17 @@ def _operator_grid(phys, amb, derived):
     return quantize.MomentumGrid.with_spacing(phys, lo, hi, _OPERATOR_SPACING)
 
 
-def _eigensolver_grid(phys, amb, derived):
-    """The eigensolver checks' y grid: lam sets its domain, default_y_max(lam,
-    2), and its size at spacing near _Y_SPACING, at most MAX_GRID_N points."""
-    y_max = eigensolver.default_y_max(derived.lam, 2)
+def _eigensolver_grid(phys, amb):
+    """The eigensolver checks' y grid: the window the operator gives
+    (eigensolver.window_y_max) at spacing near _Y_SPACING, sized before it
+    is built to at most MAX_GRID_N points."""
+    y_max = eigensolver.window_y_max(phys, amb)
     needed = y_max / _Y_SPACING
     if needed > MAX_GRID_N:
         raise ConstraintViolationError(
-            f"lam = {derived.lam:.6g}, set by {_inputs(phys, amb)}, needs "
-            f"an eigensolver grid of {needed:.3g} points at spacing "
-            f"{_Y_SPACING}, above the bound {MAX_GRID_N}")
+            f"{_inputs(phys, amb)} give the eigensolver checks a window "
+            f"0 < y < {y_max:.6g}, which needs {needed:.3g} points at their "
+            f"spacing {_Y_SPACING}, above the bound {MAX_GRID_N}")
     return eigensolver.YGrid(y_max=y_max, n_points=round(needed))
 
 
@@ -312,7 +313,7 @@ def run_suite(phys, amb):
     _check_rk4_step(phys)
     derived = derive_params(phys, amb)
     operator_grid = _operator_grid(phys, amb, derived)
-    eigensolver_grid = _eigensolver_grid(phys, amb, derived)
+    eigensolver_grid = _eigensolver_grid(phys, amb)
     records = []
     records.extend(_classical_checks(phys, amb))
     records.extend(_potential_checks(phys, amb))

@@ -393,6 +393,8 @@ def cmd_spectrum(config):
 def cmd_wavefn(config):
     phys = config.phys()
     n = config.level
+    if n < 0:
+        raise LienardError(f"option 'level' must be >= 0, got {n}")
     if config.samples < 2:
         raise LienardError(f"option 'samples' must be >= 2, "
                            f"got {config.samples}")
@@ -447,6 +449,12 @@ def cmd_limit(config):
     phys = config.phys()
     rows = []
     k_seq = _parse_floats(config.k_sequence, "k_sequence")
+    if not all(k > 0.0 for k in k_seq):
+        raise LienardError(f"option 'k_sequence' must hold numbers > 0 (k = 0 "
+                           f"is the exact branch), got {config.k_sequence!r}")
+    if any(b >= a for a, b in zip(k_seq, k_seq[1:])):
+        raise LienardError(f"option 'k_sequence' must be strictly decreasing, "
+                           f"got {config.k_sequence!r}")
     a_values = _parse_floats(config.a_values, "a_values")
     if not all(a > 0.0 for a in a_values):
         raise LienardError(f"option 'a_values' must hold numbers > 0, "

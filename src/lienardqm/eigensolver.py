@@ -4,9 +4,11 @@ Grid points y in (0, y_max) stand for the momenta
 p = p_max - y hbar omega / (2 p_max), with y = 0 at the domain bound. On
 them quantize.hamiltonian_stencil, the stencil apply_hamiltonian_fd
 applies, gives a symmetric tridiagonal matrix with Dirichlet ends, built
-from 1 - q and V alone, never from lam or a_script. Its lowest eigenvalues
-are extracted by Sturm-count bisection and compared with the algebraic
-levels (n + 1/2 + lam - a_script) hbar omega.
+from 1 - q and V alone, never from lam or a_script. window_y_max sizes
+y_max from V too: a fixed number of local harmonic widths past the
+minimum of V in x = sqrt(y). The lowest eigenvalues are extracted by
+Sturm-count bisection and compared with the algebraic levels
+(n + 1/2 + lam - a_script) hbar omega.
 
 verify_spectrum solves a chain of pilot grids, then grid N and grid
 2N + 1, coarse to fine. Each grid's bisection first takes Sturm counts
@@ -36,6 +38,9 @@ _MAX_BISECTIONS = 200
 MIN_POINTS = 500
 _COARSE_MARGIN = 0.1  # see _guesses
 _WIDENING, _MAX_WIDENINGS = 16.0, 8  # see lowest_eigenvalues
+# window_y_max: 9 widths from their centre, the harmonic states n <= 2 are
+# below 1e-20 of their peak density (4e-11 of their peak amplitude)
+_WINDOW_WIDTHS = 9.0
 
 
 @dataclass(frozen=True)
@@ -78,11 +83,6 @@ class _PilotGrid(YGrid):
     _floor = 60
 
 
-def default_y_max(lam, n_target):
-    """Domain size enclosing the support of y^(2 lam) e^-y L_n^2 safely."""
-    return 4.0 * lam + 40.0 * n_target + 50.0
-
-
 @dataclass(frozen=True)
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix.
@@ -120,13 +120,52 @@ class TridiagonalOperator:
                 float(np.max(self.diagonal + radius)))
 
 
+def _momentum_map(phys):
+    """p_max and scale = |dp/dy| of the map p = p_max - scale * y."""
+    p_max = momentum_domain(phys)
+    return p_max, phys.hbar_omega / (2.0 * p_max)
+
+
 def build_operator(phys, amb, grid):
     """hamiltonian_stencil on the grid's momenta, passed in ascending p."""
-    p_max = momentum_domain(phys)
-    scale = phys.hbar_omega / (2.0 * p_max)  # |dp/dy|
+    p_max, scale = _momentum_map(phys)
     diag, couplings = quantize.hamiltonian_stencil(
         phys, amb, p_max - scale * grid.points[::-1], scale * grid.spacing)
     return TridiagonalOperator(diagonal=diag, off_diagonal=couplings[1:-1])
+
+
+def window_y_max(phys, amb):
+    """Upper end of the y window, read off the operator's own potential.
+
+    In x = sqrt(y) the operator is -(hbar omega / 4) x^-1 d/dx (x d/dx)
+    + W(x), with W the effective potential at the momentum of y = x^2. Near
+    the minimizer x0 of W the lowest levels are harmonic states of width
+    w = (hbar omega / (4 W''(x0)))^(1/4), O(1) whatever the parameters, so
+    the window ends _WINDOW_WIDTHS widths past x0: y_max = (x0 + 9 w)^2.
+    The lower end stays at y = 0, the domain bound.
+
+    From the x of p = 0, x doubles or halves until W turns, so [x/2, 2x]
+    brackets x0. The bracket is sampled once; a parabola through the
+    discrete minimum and its neighbours, then one through 1e-3 x0 either
+    side of that vertex, place x0, and the last gives W''(x0).
+    """
+    p_max, scale = _momentum_map(phys)
+
+    def potential(x):
+        return quantize.effective_potential(phys, amb, p_max - scale * x ** 2)
+
+    x = math.sqrt(p_max / scale)  # p = 0
+    step = 0.5 if potential(2.0 * x) > potential(x) else 2.0
+    while potential(step * x) < potential(x):
+        x *= step
+    xs = np.linspace(0.5 * x, 2.0 * x, 1025)
+    x0 = xs[np.argmin(potential(xs))]
+    for d in (xs[1] - xs[0], 1e-3 * x0):
+        lo, mid, hi = potential(np.array([x0 - d, x0, x0 + d]))
+        curvature = (lo - 2.0 * mid + hi) / d ** 2
+        x0 += 0.5 * (lo - hi) / (curvature * d)
+    width = (0.25 * phys.hbar_omega / curvature) ** 0.25
+    return float((x0 + _WINDOW_WIDTHS * width) ** 2)
 
 
 def _record_count(op, shift, below, above):

@@ -342,9 +342,9 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("verify --omega 50 --k 1 --hbar 1e4", "omega = 50, k = 1, hbar = 10000 "
                                            "and alpha*gamma = 0 give the "
                                            "operator checks a momentum window"),
-    ("verify --k 0.01", "lam = 90000, set by omega = 1, k = 0.01, hbar = 1 "
-                        "and alpha*gamma = 0, needs an eigensolver grid of "
-                        "1.8e+07 points"),
+    ("verify --k 0.01", "omega = 1, k = 0.01, hbar = 1 and alpha*gamma = 0 "
+                        "give the eigensolver checks a window 0 < y < "
+                        "184570, which needs 9.23e+06 points"),
     ("limit --n-max 6", "option 'n_max' must be in 0..5"),
     ("verify --k 1.5", "lam = 4, set by omega = 1, k = 1.5, hbar = 1 and "
                        "alpha*gamma = 0, leaves psi_0 above 1e-8"),
@@ -371,6 +371,10 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("classical --step 1e-6 --t-end 1", "options 'step' = 1e-06 and "
                                         "'t_end' = 1.0 would give"),
     ("wavefn --samples 1000000000", "option 'samples' = 1000000000 would give"),
+    ("wavefn --level -1", "option 'level' must be >= 0, got -1"),
+    ("limit --k-sequence -1", "option 'k_sequence' must hold numbers > 0"),
+    ("limit --k-sequence 0.01,0.1", "option 'k_sequence' must be strictly "
+                                    "decreasing, got '0.01,0.1'"),
     ("sweep --omega-values " + ",".join(map(str, range(1, 1002)))
      + " --k-values " + ",".join(map(str, range(1, 1001))),
      "options 'omega_values', 'k_values' with 1001000 parameter points "
@@ -385,7 +389,9 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
         "limit-a-values-overflow",
         "limit-a-values-tiny", "wavefn-k-tiny-window",
         "spectrum-n-max-huge", "spectrum-n-max-one-over", "classical-step-tiny",
-        "classical-one-row-over", "wavefn-samples-huge", "sweep-axes-huge"])
+        "classical-one-row-over", "wavefn-samples-huge", "wavefn-level-negative",
+        "limit-k-sequence-negative", "limit-k-sequence-increasing",
+        "sweep-axes-huge"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     out = tmp_path / "o.csv"
     tracemalloc.start()

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from lienardqm import checks, eigensolver, kernels, susy
 from lienardqm.eigensolver import (BISECTION_TOL, TridiagonalOperator, YGrid,
-                                   build_operator, default_y_max,
-                                   lowest_eigenvalues, sign_changes,
-                                   verify_spectrum)
+                                   build_operator, lowest_eigenvalues,
+                                   sign_changes, verify_spectrum)
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
 from lienardqm.susy import spectrum
 
@@ -36,11 +35,6 @@ def test_ygrid_geometry():
         YGrid(y_max=math.inf, n_points=1000)
     with pytest.raises(ValueError, match="integer"):
         YGrid(y_max=150.0, n_points=600.5)
-
-
-def test_default_domain_formula():
-    assert default_y_max(9.0, 3) == 206.0
-    assert default_y_max(10.0, 0) == 90.0
 
 
 def test_operator_structure():
@@ -75,26 +69,73 @@ def test_operator_structure():
                                atol=0)
 
 
-def test_levels_row_fails_when_lam_is_mutated(monkeypatch):
-    # lam = sqrt(a_script^2 + 1.5 alpha*gamma) in place of the true value:
-    # the operator never reads lam, so its levels leave the algebraic ones
-    def mutated(phys, amb):
-        d = derive_params(phys, amb)
-        lam = math.sqrt(d.a_script ** 2 + 1.5 * amb.product)
-        shift = lam - d.a_script
-        return dataclasses.replace(d, lam=lam, shift=shift, b_coef=(
-            phys.hbar * phys.k / (3.0 * math.sqrt(2.0) * phys.omega) * shift))
+def _wrong_lam(phys, amb):
+    """derive_params with lam = sqrt(a_script^2 + 1.5 alpha*gamma)."""
+    d = derive_params(phys, amb)
+    lam = math.sqrt(d.a_script ** 2 + 1.5 * amb.product)
+    shift = lam - d.a_script
+    return dataclasses.replace(d, lam=lam, shift=shift, b_coef=(
+        phys.hbar * phys.k / (3.0 * math.sqrt(2.0) * phys.omega) * shift))
 
+
+def test_levels_row_fails_when_lam_is_mutated(monkeypatch):
+    # a wrong lam in place of the true value: the operator never reads lam,
+    # so its levels leave the algebraic ones
     def levels_row():
         return next(r for r in checks.run_suite(PHYS, AMB19)
                     if r.name == "eigensolver.levels-vs-algebraic")
 
     assert levels_row().passed
     for module in (checks, susy):
-        monkeypatch.setattr(module, "derive_params", mutated)
+        monkeypatch.setattr(module, "derive_params", _wrong_lam)
     row = levels_row()
     assert not row.passed
     assert row.measured > 0.1
+
+
+def test_eigensolver_grid_ignores_a_mutated_lam(monkeypatch):
+    # the window comes from the operator, so a wrong lam leaves verify's
+    # eigensolver grid as it is
+    def grid_of_run_suite():
+        grids = []
+        monkeypatch.setattr(checks, "_eigensolver_checks",
+                            lambda phys, amb, grid: grids.append(grid) or [])
+        checks.run_suite(PHYS, AMB19)
+        return grids
+
+    expected = grid_of_run_suite()
+    assert expected == [checks._eigensolver_grid(PHYS, AMB19)]
+    for module in (checks, susy):
+        monkeypatch.setattr(module, "derive_params", _wrong_lam)
+    assert grid_of_run_suite() == expected
+
+
+@pytest.mark.parametrize("omega, k, product", [
+    (0.99, 1.01, 0.0), (1.03, 0.97, 19.0)], ids=["box-low-lam", "box-high-lam"])
+def test_window_truncation_at_box_corners(omega, k, product):
+    # widen verify's window by half at identical spacing: the levels it
+    # checks move only by truncation, which the window keeps negligible
+    phys = PhysicalParams(omega=omega, k=k)
+    amb = AmbiguityParams(alpha=product, gamma=1.0)
+    grid = checks._eigensolver_grid(phys, amb)
+    wide_points = round(1.5 * (grid.n_points + 1)) - 1
+    wide = YGrid(y_max=grid.spacing * (wide_points + 1), n_points=wide_points)
+    assert wide.spacing == pytest.approx(grid.spacing, rel=1e-15)
+    values = lowest_eigenvalues(build_operator(phys, amb, grid), 3)
+    wide_values = lowest_eigenvalues(build_operator(phys, amb, wide), 3)
+    assert np.max(np.abs(values - wide_values)) <= 1e-9
+
+
+def test_window_from_the_operator_potential():
+    # in x = sqrt(y) the operator's potential is hbar omega (lam^2 / x^2 +
+    # x^2 / 4 - a_script), minimal at x0 = sqrt(2 lam) with W'' = 2 hbar
+    # omega: the window ends 9 widths (1/8)^(1/4) past x0
+    for phys, amb in ((PHYS, AMB0), (PHYS, AMB19),
+                      (PhysicalParams(omega=2.0, k=0.1, hbar=0.5), AMB19)):
+        lam = derive_params(phys, amb).lam
+        expected = (math.sqrt(2.0 * lam) + 9.0 * 8.0 ** -0.25) ** 2
+        assert eigensolver.window_y_max(phys, amb) == pytest.approx(
+            expected, rel=1e-6)
 
 
 def test_two_by_two_diagonal_matrix():
@@ -160,9 +201,9 @@ def _plain_bisection(op, count):
                          ids=["N8500", "N17001"])
 def test_shared_brackets_bit_identical_with_fewer_sweeps(
         monkeypatch, refined, shared_sweeps, plain_sweeps):
-    # the operator pair that verify solves at its default parameters
-    derived = derive_params(PHYS, AMB19)
-    grid = YGrid(y_max=default_y_max(derived.lam, 2), n_points=8500)
+    # the operator pair verify solved at its default parameters on the window
+    # 4 lam + 130 it took before the window came from the operator
+    grid = YGrid(y_max=170.0, n_points=8500)
     op = build_operator(PHYS, AMB19, grid.refined() if refined else grid)
     sweeps = []
     sturm_count = kernels.sturm_count
@@ -254,15 +295,14 @@ def _count_rows(monkeypatch):
 
 def test_verify_spectrum_coarse_to_fine_work_and_bits(monkeypatch):
     # the grid verify resolves at its default parameters with alpha*gamma = 19
-    derived = derive_params(PHYS, AMB19)
-    grid = YGrid(y_max=default_y_max(derived.lam, 2), n_points=8500)
+    grid = checks._eigensolver_grid(PHYS, AMB19)
     rows = _count_rows(monkeypatch)
     cmp = verify_spectrum(PHYS, AMB19, 2, grid)
-    # plain bisection of grids N and 2N + 1 sweeps 3,145,124 rows, and
-    # flat probes from two pilots 1,078,234
-    assert sum(rows) <= 600_203
+    # plain bisection of grids N and 2N + 1 sweeps 2,403,018 rows; on the
+    # window 4 lam + 130 (N = 8500) the guided bisection took 600,203
+    assert sum(rows) <= 394_961
     # three pilots, grid N, grid 2N + 1
-    assert set(rows) == {131, 530, 2124, 8500, 17001}
+    assert set(rows) == {74, 300, 1205, 4825, 9651}
     for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):
         plain = lowest_eigenvalues(build_operator(PHYS, AMB19, g), 3)
         assert [v.hex() for v in solved] == [v.hex() for v in plain]
@@ -278,7 +318,7 @@ def test_verify_spectrum_bits_equal_plain_bisection(omega, k, product, n_max,
     # the acceptance grid
     phys = PhysicalParams(omega=omega, k=k)
     amb = AmbiguityParams(alpha=product, gamma=1.0)
-    grid = (checks._eigensolver_grid(phys, amb, derive_params(phys, amb))
+    grid = (checks._eigensolver_grid(phys, amb)
             if n_points is None else YGrid(y_max=150.0, n_points=n_points))
     cmp = verify_spectrum(phys, amb, n_max, grid)
     for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):

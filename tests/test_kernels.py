@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lienardqm.eigensolver import (YGrid, build_operator, default_y_max,
-                                   lowest_eigenvalues)
+from lienardqm.eigensolver import YGrid, build_operator, lowest_eigenvalues
 from lienardqm.kernels import BACKEND, pykernels
-from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
+from lienardqm.params import AmbiguityParams, PhysicalParams
 
 C_SOURCE = (Path(__file__).resolve().parents[1]
             / "src" / "lienardqm" / "kernels" / "_ckernels.c")
@@ -121,12 +120,11 @@ def test_backends_bitwise_identical(c_kernels):
         assert _count(py, diag, off, shift) == _count(c, diag, off, shift)
     py_b2, c_b2 = py.sturm_rows(diag, off)[1], c.sturm_rows(diag, off)[1]
     assert np.array_equal(np.array(py_b2), c_b2)
-    # the N = 8500 operator verify solves at its defaults, at and 1 ulp
-    # either side of its bisected eigenvalues, where pivots come closest to 0
+    # an N = 8500 operator at verify's defaults (the grid it solved on the
+    # window 4 lam + 130, y_max = 170), at and 1 ulp either side of its bisected eigenvalues, where pivots come closest to 0
     phys = PhysicalParams(omega=1.0, k=1.0)
     amb = AmbiguityParams(alpha=19.0, gamma=1.0)
-    y_max = default_y_max(derive_params(phys, amb).lam, 2)
-    op = build_operator(phys, amb, YGrid(y_max=y_max, n_points=8500))
+    op = build_operator(phys, amb, YGrid(y_max=170.0, n_points=8500))
     values = lowest_eigenvalues(op, 3)
     shifts = np.concatenate([values, np.nextafter(values, -np.inf),
                              np.nextafter(values, np.inf), op.gershgorin(),

@@ -72,6 +72,9 @@ class RunConfig:
     gamma_values: str | None = _option(None, "comma-separated gamma list")
 
     def phys(self):
+        _require(self.omega > 0.0, "omega", "> 0", self.omega)
+        _require(self.k >= 0.0, "k", ">= 0", self.k)
+        _require(self.hbar > 0.0, "hbar", "> 0", self.hbar)
         return PhysicalParams(omega=self.omega, k=self.k, hbar=self.hbar)
 
     def amb(self):
@@ -327,6 +330,12 @@ def _write_parts(path, parts):
     return path
 
 
+def _require(ok, name, bound, value):
+    """Raise naming option `name` unless `ok`: it must be `bound`."""
+    if not ok:
+        raise LienardError(f"option {name!r} must be {bound}, got {value}")
+
+
 def _check_rows(count, what):
     """Raise naming `what`, the options that set them, unless `count` rows
     fit MAX_ROWS."""
@@ -354,14 +363,16 @@ def _parse_floats(text, key):
 
 def cmd_classical(config):
     phys = config.phys()
+    _require(config.amplitude >= 0.0, "amplitude", ">= 0", config.amplitude)
+    _require(config.step > 0.0, "step", "> 0", config.step)
+    _require(config.t_end is None or config.t_end > 0.0, "t_end", "> 0",
+             config.t_end)
     t_end = config.t_end if config.t_end is not None else 2.0 * math.pi / phys.omega
-    if config.step > 0.0 and t_end > 0.0:
-        # integrate_lienard writes round(t_end / step) + 1 rows
-        unset = "" if config.t_end is not None else (
-            f" (unset: one period at 'omega' = {phys.omega})")
-        _check_rows(round(min(t_end / config.step, MAX_ROWS)) + 1,
-                    f"options 'step' = {config.step} and 't_end' = {t_end}"
-                    f"{unset}")
+    # integrate_lienard writes round(t_end / step) + 1 rows
+    unset = "" if config.t_end is not None else (
+        f" (unset: one period at 'omega' = {phys.omega})")
+    _check_rows(round(min(t_end / config.step, MAX_ROWS)) + 1,
+                f"options 'step' = {config.step} and 't_end' = {t_end}{unset}")
     initial = classical.OscillatorState(
         x=classical.analytic_solution(phys, config.amplitude, config.phase, 0.0),
         v=classical.analytic_velocity(phys, config.amplitude, config.phase, 0.0))
@@ -380,6 +391,7 @@ def cmd_classical(config):
 
 def cmd_spectrum(config):
     phys = config.phys()
+    _require(config.n_max >= 0, "n_max", ">= 0", config.n_max)
     _check_rows(config.n_max + 1, f"option 'n_max' = {config.n_max}")
     table = susy.spectrum(phys, config.amb(), config.n_max)
     hw = phys.hbar_omega
@@ -393,11 +405,8 @@ def cmd_spectrum(config):
 def cmd_wavefn(config):
     phys = config.phys()
     n = config.level
-    if n < 0:
-        raise LienardError(f"option 'level' must be >= 0, got {n}")
-    if config.samples < 2:
-        raise LienardError(f"option 'samples' must be >= 2, "
-                           f"got {config.samples}")
+    _require(n >= 0, "level", ">= 0", n)
+    _require(config.samples >= 2, "samples", ">= 2", config.samples)
     _check_rows(config.samples, f"option 'samples' = {config.samples}")
     if phys.is_deformed:
         derived = derive_params(phys, config.amb())
@@ -441,8 +450,7 @@ def cmd_verify(config):
 
 
 def cmd_limit(config):
-    if config.n_max < 0:
-        raise LienardError(f"option 'n_max' must be >= 0, got {config.n_max}")
+    _require(config.n_max >= 0, "n_max", ">= 0", config.n_max)
     if config.n_max > 5:
         raise LienardError(f"option 'n_max' must be in 0..5, the levels of "
                            f"the Laguerre-Hermite study, got {config.n_max}")

@@ -379,6 +379,12 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
      + " --k-values " + ",".join(map(str, range(1, 1001))),
      "options 'omega_values', 'k_values' with 1001000 parameter points "
      "would give more than 1000000 output rows"),
+    ("spectrum --n-max -1", "option 'n_max' must be >= 0, got -1"),
+    ("classical --amplitude -1", "option 'amplitude' must be >= 0, got -1.0"),
+    ("classical --step 0", "option 'step' must be > 0, got 0.0"),
+    ("classical --t-end -1", "option 't_end' must be > 0, got -1.0"),
+    ("spectrum --hbar 0", "option 'hbar' must be > 0, got 0.0"),
+    ("wavefn --hbar 0", "option 'hbar' must be > 0, got 0.0"),
 ], ids=["omega-cubed-overflows", "a-script-squared-overflows",
         "k-squared-underflows", "lam-overflows", "unstable-step",
         "limit-a-values", "limit-n-max-negative", "verify-k-zero",
@@ -391,7 +397,9 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
         "spectrum-n-max-huge", "spectrum-n-max-one-over", "classical-step-tiny",
         "classical-one-row-over", "wavefn-samples-huge", "wavefn-level-negative",
         "limit-k-sequence-negative", "limit-k-sequence-increasing",
-        "sweep-axes-huge"])
+        "sweep-axes-huge", "spectrum-n-max-negative",
+        "classical-amplitude-negative", "classical-step-zero",
+        "classical-t-end-negative", "spectrum-hbar-zero", "wavefn-hbar-zero"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     out = tmp_path / "o.csv"
     tracemalloc.start()

@@ -77,6 +77,8 @@ CASES = {
     "wavefn-k0-level-4": "wavefn --k 0 --level 4",
     "wavefn-k-1e-9": "wavefn --k 1e-9 --level 0",
     "verify-box-high-lam": "verify --omega 1.03 --k 0.97 --alpha 19 --gamma 1",
+    "verify-omega4-k8": "verify --omega 4 --k 8",
+    "verify-hbar4-k0.5": "verify --hbar 4 --k 0.5",
 }
 
 

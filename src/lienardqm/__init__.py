@@ -3,8 +3,9 @@
 Classical dynamics of the cubic momentum-bounded oscillator, its symmetric-
 ordering quantization in momentum space, the factorization (shape-invariance)
 solution for spectrum and eigenfunctions, and independent numerical oracles
-for every analytic result: fixed-step RK4 against the closed-form orbit, a
-Sturm-bisection tridiagonal eigensolver against the algebraic spectrum, and
+for every analytic result: fixed-step RK4 against the closed-form orbit,
+Chebyshev collocation (and, for the acceptance criteria, a Sturm-bisection
+finite-difference eigensolver) against the algebraic spectrum, and
 composite Gauss-Legendre quadrature against the normalization constants.
 """
 
@@ -16,7 +17,8 @@ from .classical import (OscillatorState, Trajectory, analytic_solution,
                         jlm_condition_residual, jlm_sigma_roots, lagrangian,
                         lienard_rhs, phase_constraint_value)
 from .eigensolver import (TridiagonalOperator, YGrid, build_operator,
-                          lowest_eigenvalues, verify_spectrum, window_y_max)
+                          collocation_levels, lowest_eigenvalues,
+                          verify_spectrum)
 from .errors import (AmplitudeRangeError, ConstraintViolationError,
                      ConvergenceError, DomainError, GridMismatchError,
                      LienardError, OverflowGuardError)

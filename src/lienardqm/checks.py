@@ -22,13 +22,12 @@ from .params import (AmbiguityParams, PhysicalParams, derive_params,
 _STATES = ((0.0, 0.0), (0.3, -0.2), (1.1, 0.4), (-0.7, 0.9), (0.5, 1.7))
 
 _RK4_STEP = 1e-3
-# Spacings of the operator checks' momentum grid and of the eigensolver
-# grid, and bounds on their sizes that keep a verify run to seconds and a
-# few hundred MB.
+# Spacing of the operator checks' momentum grid, and a bound on its size
+# that keeps a verify run to seconds and a few hundred MB.
 _OPERATOR_SPACING = 1e-3
-_Y_SPACING = 0.02
 MAX_OPERATOR_POINTS = 10 ** 6
-MAX_GRID_N = 10 ** 6
+# Chebyshev degree of the eigensolver checks, which also solve at twice it
+_COLLOCATION_N = 64
 
 
 def _product_table(a_script, user_product):
@@ -91,20 +90,6 @@ def _operator_grid(phys, amb, derived):
             f"{width / _OPERATOR_SPACING + 1:.3g} points at their spacing "
             f"{_OPERATOR_SPACING}, outside 16..{MAX_OPERATOR_POINTS}")
     return quantize.MomentumGrid.with_spacing(phys, lo, hi, _OPERATOR_SPACING)
-
-
-def _eigensolver_grid(phys, amb):
-    """The eigensolver checks' y grid: the window the operator gives
-    (eigensolver.window_y_max) at spacing near _Y_SPACING, sized before it
-    is built to at most MAX_GRID_N points."""
-    y_max = eigensolver.window_y_max(phys, amb)
-    needed = y_max / _Y_SPACING
-    if needed > MAX_GRID_N:
-        raise ConstraintViolationError(
-            f"{_inputs(phys, amb)} give the eigensolver checks a window "
-            f"0 < y < {y_max:.6g}, which needs {needed:.3g} points at their "
-            f"spacing {_Y_SPACING}, above the bound {MAX_GRID_N}")
-    return eigensolver.YGrid(y_max=y_max, n_points=round(needed))
 
 
 def _classical_checks(phys, amb):
@@ -240,20 +225,19 @@ def _operator_checks(phys, amb, grid):
     return rows
 
 
-def _eigensolver_checks(phys, amb, grid):
+def _eigensolver_checks(phys, amb):
+    """The collocation levels n <= 2 at N and 2N, in units of hbar omega."""
     echo = _echo(phys, amb)
-    comparison = eigensolver.verify_spectrum(phys, amb, 2, grid)
-    rows = [ReportRecord.from_absolute(
-        "eigensolver.levels-vs-algebraic", echo,
-        float(np.max(comparison.errors)), 0.0, 1e-5)]
-    rows.append(ReportRecord.from_absolute(
-        "eigensolver.h2-convergence-ratio", echo,
-        float(np.mean(comparison.convergence_ratios)), 4.0, 2.0))
-    rows.append(ReportRecord.from_absolute(
-        "eigensolver.level-spacing", echo,
-        float(np.max(np.abs(np.diff(comparison.numeric) - phys.hbar_omega))),
-        0.0, 1e-5))
-    return rows
+    hbar_omega = phys.hbar_omega
+    levels = eigensolver.collocation_levels(phys, amb, _COLLOCATION_N)
+    finer = eigensolver.collocation_levels(phys, amb, 2 * _COLLOCATION_N)
+    analytic = susy.spectrum(phys, amb, 2).energies
+    deviations = (("eigensolver.levels-vs-algebraic", levels - analytic),
+                  ("eigensolver.n-vs-2n-agreement", levels - finer),
+                  ("eigensolver.level-spacing", np.diff(levels) - hbar_omega))
+    return [ReportRecord.from_absolute(
+        name, echo, np.max(np.abs(delta)) / hbar_omega, 0.0, 1e-9)
+        for name, delta in deviations]
 
 
 def _wavefn_checks(phys, amb):
@@ -301,10 +285,12 @@ def run_suite(phys, amb):
     """Run every module's fast invariant checks; returns ReportRecords.
 
     The checks need the deformed oscillator (k > 0) and an omega the RK4
-    step resolves. The parameters set both grids, and each must stay within
-    its size bound (_operator_grid, _eigensolver_grid). Those inputs are
+    step resolves. The parameters set the operator checks' grid, which
+    must stay within its size bound (_operator_grid). Those inputs are
     rejected before any check runs; a state that does not vanish at the
     ends of the operator checks' window is rejected once it is sampled.
+    The eigensolver checks collocate at a fixed degree on a window read off
+    the operator, so they have no size to bound.
     """
     if not phys.is_deformed:
         raise ConstraintViolationError(
@@ -313,12 +299,11 @@ def run_suite(phys, amb):
     _check_rk4_step(phys)
     derived = derive_params(phys, amb)
     operator_grid = _operator_grid(phys, amb, derived)
-    eigensolver_grid = _eigensolver_grid(phys, amb)
     records = []
     records.extend(_classical_checks(phys, amb))
     records.extend(_potential_checks(phys, amb))
     records.extend(_susy_checks(phys, amb))
     records.extend(_operator_checks(phys, amb, operator_grid))
-    records.extend(_eigensolver_checks(phys, amb, eigensolver_grid))
+    records.extend(_eigensolver_checks(phys, amb))
     records.extend(_wavefn_checks(phys, amb))
     return records

@@ -4,9 +4,8 @@ Grid points y in (0, y_max) stand for the momenta
 p = p_max - y hbar omega / (2 p_max), with y = 0 at the domain bound. On
 them quantize.hamiltonian_stencil, the stencil apply_hamiltonian_fd
 applies, gives a symmetric tridiagonal matrix with Dirichlet ends, built
-from 1 - q and V alone, never from lam or a_script. window_y_max sizes
-y_max from V too: a fixed number of local harmonic widths past the
-minimum of V in x = sqrt(y). The lowest eigenvalues are extracted by
+from 1 - q and V alone, never from lam or a_script. The lowest
+eigenvalues are extracted by
 Sturm-count bisection and compared with the algebraic levels
 (n + 1/2 + lam - a_script) hbar omega.
 
@@ -19,12 +18,18 @@ midpoints without a sweep but never changes which way one goes, and every
 reported eigenvalue keeps the bits of a plain bisection. The guesses come
 from the solver's own coarser solutions, never from the algebraic
 spectrum it is checked against.
+
+collocation_levels, which `verify` runs, works in x = sqrt(y). There the
+operator is -(hbar omega / 4) x^-1 d/dx (x d/dx) + W(x), with W the
+effective potential at the momentum of x. It is collocated at Chebyshev
+points on window_x, a window read off W itself: a fixed number of local
+harmonic widths either side of the minimum of W.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -38,7 +43,7 @@ _MAX_BISECTIONS = 200
 MIN_POINTS = 500
 _COARSE_MARGIN = 0.1  # see _guesses
 _WIDENING, _MAX_WIDENINGS = 16.0, 8  # see lowest_eigenvalues
-# window_y_max: 9 widths from their centre, the harmonic states n <= 2 are
+# window_x: 9 widths from their centre, the harmonic states n <= 2 are
 # below 1e-20 of their peak density (4e-11 of their peak amplitude)
 _WINDOW_WIDTHS = 9.0
 
@@ -126,6 +131,12 @@ def _momentum_map(phys):
     return p_max, phys.hbar_omega / (2.0 * p_max)
 
 
+def _potential_in_x(phys, amb, x):
+    """W(x): the effective potential at the momentum of y = x^2."""
+    p_max, scale = _momentum_map(phys)
+    return quantize.effective_potential(phys, amb, p_max - scale * x ** 2)
+
+
 def build_operator(phys, amb, grid):
     """hamiltonian_stencil on the grid's momenta, passed in ascending p."""
     p_max, scale = _momentum_map(phys)
@@ -134,26 +145,21 @@ def build_operator(phys, amb, grid):
     return TridiagonalOperator(diagonal=diag, off_diagonal=couplings[1:-1])
 
 
-def window_y_max(phys, amb):
-    """Upper end of the y window, read off the operator's own potential.
+def window_x(phys, amb):
+    """The x window (lo, hi) of the lowest levels, read off W itself.
 
-    In x = sqrt(y) the operator is -(hbar omega / 4) x^-1 d/dx (x d/dx)
-    + W(x), with W the effective potential at the momentum of y = x^2. Near
-    the minimizer x0 of W the lowest levels are harmonic states of width
-    w = (hbar omega / (4 W''(x0)))^(1/4), O(1) whatever the parameters, so
-    the window ends _WINDOW_WIDTHS widths past x0: y_max = (x0 + 9 w)^2.
-    The lower end stays at y = 0, the domain bound.
+    Near the minimizer x0 of W the lowest levels are harmonic states of
+    width w = (hbar omega / (4 W''(x0)))^(1/4), O(1) whatever the
+    parameters, so the window spans _WINDOW_WIDTHS widths either side of
+    x0, cut at the domain bound x = 0: [max(0, x0 - 9 w), x0 + 9 w].
 
     From the x of p = 0, x doubles or halves until W turns, so [x/2, 2x]
     brackets x0. The bracket is sampled once; a parabola through the
     discrete minimum and its neighbours, then one through 1e-3 x0 either
     side of that vertex, place x0, and the last gives W''(x0).
     """
+    potential = partial(_potential_in_x, phys, amb)
     p_max, scale = _momentum_map(phys)
-
-    def potential(x):
-        return quantize.effective_potential(phys, amb, p_max - scale * x ** 2)
-
     x = math.sqrt(p_max / scale)  # p = 0
     step = 0.5 if potential(2.0 * x) > potential(x) else 2.0
     while potential(step * x) < potential(x):
@@ -164,8 +170,44 @@ def window_y_max(phys, amb):
         lo, mid, hi = potential(np.array([x0 - d, x0, x0 + d]))
         curvature = (lo - 2.0 * mid + hi) / d ** 2
         x0 += 0.5 * (lo - hi) / (curvature * d)
-    width = (0.25 * phys.hbar_omega / curvature) ** 0.25
-    return float((x0 + _WINDOW_WIDTHS * width) ** 2)
+    reach = _WINDOW_WIDTHS * (0.25 * phys.hbar_omega / curvature) ** 0.25
+    return float(max(0.0, x0 - reach)), float(x0 + reach)
+
+
+def _cheb(n):
+    """Trefethen's cheb: the points cos(pi j / n), j = 0..n, and their
+    differentiation matrix (Spectral Methods in MATLAB, SIAM 2000, ch. 6)."""
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[[0, -1]] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (t[:, None] - t[None, :] + np.eye(n + 1))
+    return t, d - np.diag(d.sum(axis=1))
+
+
+def collocation_levels(phys, amb, n):
+    """The three lowest levels by Chebyshev collocation on window_x.
+
+    With u = sqrt(x) psi the operator is -kappa u'' + (W - kappa / (4 x^2)) u,
+    kappa = hbar omega / 4. It is collocated at the n + 1 Chebyshev points
+    mapped onto the window, with u = 0 at both ends, and the n - 1 interior
+    rows go to numpy.linalg.eigvals. The matrix is not symmetric, so a
+    complex level among the lowest three raises ConvergenceError instead
+    of being passed off as its real part.
+    """
+    lo, hi = window_x(phys, amb)
+    t, d = _cheb(n)
+    x = lo + 0.5 * (hi - lo) * (t[1:-1] + 1.0)
+    kappa = 0.25 * phys.hbar_omega
+    matrix = -kappa * (2.0 / (hi - lo)) ** 2 * (d @ d)[1:-1, 1:-1]
+    matrix[np.diag_indices_from(matrix)] += (
+        _potential_in_x(phys, amb, x) - kappa / (4.0 * x ** 2))
+    values = np.linalg.eigvals(matrix)
+    lowest = values[np.argsort(values.real)[:3]]
+    if np.any(lowest.imag != 0.0):
+        raise ConvergenceError(
+            f"collocation at n = {n} gave complex levels {lowest.tolist()}")
+    return lowest.real
 
 
 def _record_count(op, shift, below, above):

@@ -342,9 +342,8 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("verify --omega 50 --k 1 --hbar 1e4", "omega = 50, k = 1, hbar = 10000 "
                                            "and alpha*gamma = 0 give the "
                                            "operator checks a momentum window"),
-    ("verify --k 0.01", "omega = 1, k = 0.01, hbar = 1 and alpha*gamma = 0 "
-                        "give the eigensolver checks a window 0 < y < "
-                        "184570, which needs 9.23e+06 points"),
+    ("verify --k 0.01", "lam = 90000, set by omega = 1, k = 0.01, hbar = 1 "
+                        "and alpha*gamma = 0, leaves psi_0 above 1e-8"),
     ("limit --n-max 6", "option 'n_max' must be in 0..5"),
     ("verify --k 1.5", "lam = 4, set by omega = 1, k = 1.5, hbar = 1 and "
                        "alpha*gamma = 0, leaves psi_0 above 1e-8"),
@@ -413,6 +412,14 @@ def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     assert not out.exists()
     # rejected before the sizes were allocated: a 1e8-point grid is 800 MB
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", ["--omega 4 --k 8", "--hbar 4 --k 0.5"])
+def test_verify_passes_in_any_unit_of_energy(tmp_path, capsys, argv):
+    # a_script = 9 and hbar omega = 4: the default physics in other units
+    out = tmp_path / "o.csv"
+    assert main(["verify", *argv.split(), "--output", str(out)]) == 0
+    assert "verify: 19/19 checks passed" in capsys.readouterr().out
 
 
 def test_verify_window_error_at_large_lam_names_its_inputs(tmp_path, capsys):

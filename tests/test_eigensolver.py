@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from lienardqm import checks, eigensolver, kernels, susy
 from lienardqm.eigensolver import (BISECTION_TOL, TridiagonalOperator, YGrid,
-                                   build_operator, lowest_eigenvalues,
-                                   sign_changes, verify_spectrum)
+                                   build_operator, collocation_levels,
+                                   lowest_eigenvalues, sign_changes,
+                                   verify_spectrum)
+from lienardqm.errors import ConvergenceError
 from lienardqm.params import AmbiguityParams, PhysicalParams, derive_params
 from lienardqm.susy import spectrum
 
@@ -69,73 +71,122 @@ def test_operator_structure():
                                atol=0)
 
 
-def _wrong_lam(phys, amb):
-    """derive_params with lam = sqrt(a_script^2 + 1.5 alpha*gamma)."""
-    d = derive_params(phys, amb)
-    lam = math.sqrt(d.a_script ** 2 + 1.5 * amb.product)
-    shift = lam - d.a_script
-    return dataclasses.replace(d, lam=lam, shift=shift, b_coef=(
-        phys.hbar * phys.k / (3.0 * math.sqrt(2.0) * phys.omega) * shift))
+def _mutated(lam_of):
+    """derive_params with lam = lam_of(a_script, alpha*gamma)."""
+    def derive(phys, amb):
+        d = derive_params(phys, amb)
+        lam = lam_of(d.a_script, amb.product)
+        shift = lam - d.a_script
+        return dataclasses.replace(d, lam=lam, shift=shift, b_coef=(
+            phys.hbar * phys.k / (3.0 * math.sqrt(2.0) * phys.omega) * shift))
+    return derive
+
+
+# lam = sqrt(a_script^2 + 1.5 alpha*gamma)
+_wrong_lam = _mutated(lambda a_script, product: math.sqrt(
+    a_script ** 2 + 1.5 * product))
+
+
+def _levels_row():
+    return next(r for r in checks.run_suite(PHYS, AMB19)
+                if r.name == "eigensolver.levels-vs-algebraic")
 
 
 def test_levels_row_fails_when_lam_is_mutated(monkeypatch):
     # a wrong lam in place of the true value: the operator never reads lam,
     # so its levels leave the algebraic ones
-    def levels_row():
-        return next(r for r in checks.run_suite(PHYS, AMB19)
-                    if r.name == "eigensolver.levels-vs-algebraic")
-
-    assert levels_row().passed
+    assert _levels_row().passed
     for module in (checks, susy):
         monkeypatch.setattr(module, "derive_params", _wrong_lam)
-    row = levels_row()
+    row = _levels_row()
     assert not row.passed
     assert row.measured > 0.1
 
 
-def test_eigensolver_grid_ignores_a_mutated_lam(monkeypatch):
-    # the window comes from the operator, so a wrong lam leaves verify's
-    # eigensolver grid as it is
-    def grid_of_run_suite():
-        grids = []
-        monkeypatch.setattr(checks, "_eigensolver_checks",
-                            lambda phys, amb, grid: grids.append(grid) or [])
-        checks.run_suite(PHYS, AMB19)
-        return grids
+def test_levels_row_fails_when_the_product_is_off_by_1e_6(monkeypatch):
+    # the analytic spectrum reads alpha*gamma = 19 (1 + 1e-6): lam = 10
+    # moves by 19e-6 / (2 lam) = 9.5e-7, and so does every level
+    assert _levels_row().measured < 1e-12
+    monkeypatch.setattr(susy, "derive_params", _mutated(
+        lambda a_script, product: math.sqrt(a_script ** 2
+                                            + product * (1.0 + 1e-6))))
+    row = _levels_row()
+    assert not row.passed
+    assert row.measured == pytest.approx(9.5e-7, rel=1e-3)
 
-    expected = grid_of_run_suite()
-    assert expected == [checks._eigensolver_grid(PHYS, AMB19)]
+
+def test_eigensolver_grid_ignores_a_mutated_lam(monkeypatch):
+    # the collocation window comes from the operator, so a wrong lam leaves
+    # the points verify's eigensolver checks collocate at as they are
+    windows = []
+    window_x = eigensolver.window_x
+    monkeypatch.setattr(eigensolver, "window_x", lambda phys, amb: (
+        windows.append(window_x(phys, amb)) or windows[-1]))
+    checks.run_suite(PHYS, AMB19)
+    expected = list(windows)
+    assert expected == [window_x(PHYS, AMB19)] * 2  # at N and at 2N
+    windows.clear()
     for module in (checks, susy):
         monkeypatch.setattr(module, "derive_params", _wrong_lam)
-    assert grid_of_run_suite() == expected
+    checks.run_suite(PHYS, AMB19)
+    assert windows == expected
 
 
 @pytest.mark.parametrize("omega, k, product", [
     (0.99, 1.01, 0.0), (1.03, 0.97, 19.0)], ids=["box-low-lam", "box-high-lam"])
-def test_window_truncation_at_box_corners(omega, k, product):
-    # widen verify's window by half at identical spacing: the levels it
-    # checks move only by truncation, which the window keeps negligible
+def test_window_truncation_at_box_corners(monkeypatch, omega, k, product):
+    # widen the collocation window by half at 1.5 times the degree: the
+    # levels verify checks move only by truncation, which the window keeps
+    # negligible
     phys = PhysicalParams(omega=omega, k=k)
     amb = AmbiguityParams(alpha=product, gamma=1.0)
-    grid = checks._eigensolver_grid(phys, amb)
-    wide_points = round(1.5 * (grid.n_points + 1)) - 1
-    wide = YGrid(y_max=grid.spacing * (wide_points + 1), n_points=wide_points)
-    assert wide.spacing == pytest.approx(grid.spacing, rel=1e-15)
-    values = lowest_eigenvalues(build_operator(phys, amb, grid), 3)
-    wide_values = lowest_eigenvalues(build_operator(phys, amb, wide), 3)
-    assert np.max(np.abs(values - wide_values)) <= 1e-9
+    lo, hi = eigensolver.window_x(phys, amb)
+    values = collocation_levels(phys, amb, checks._COLLOCATION_N)
+    monkeypatch.setattr(eigensolver, "window_x",
+                        lambda phys, amb: (lo, lo + 1.5 * (hi - lo)))
+    wide = collocation_levels(phys, amb, 3 * checks._COLLOCATION_N // 2)
+    assert np.max(np.abs(values - wide)) <= 1e-12
 
 
 def test_window_from_the_operator_potential():
     # in x = sqrt(y) the operator's potential is hbar omega (lam^2 / x^2 +
     # x^2 / 4 - a_script), minimal at x0 = sqrt(2 lam) with W'' = 2 hbar
-    # omega: the window ends 9 widths (1/8)^(1/4) past x0
-    for phys, amb in ((PHYS, AMB0), (PHYS, AMB19),
-                      (PhysicalParams(omega=2.0, k=0.1, hbar=0.5), AMB19)):
-        lam = derive_params(phys, amb).lam
-        expected = (math.sqrt(2.0 * lam) + 9.0 * 8.0 ** -0.25) ** 2
-        assert eigensolver.window_y_max(phys, amb) == pytest.approx(
-            expected, rel=1e-6)
+    # omega: the window spans 9 widths (1/8)^(1/4) either side of x0, cut
+    # at x = 0
+    for phys, amb, cut in ((PHYS, AMB0, True), (PHYS, AMB19, True),
+                           (PhysicalParams(omega=2.0, k=0.1, hbar=0.5), AMB19,
+                            False)):
+        x0 = math.sqrt(2.0 * derive_params(phys, amb).lam)
+        reach = 9.0 * 8.0 ** -0.25
+        lo, hi = eigensolver.window_x(phys, amb)
+        assert (lo == 0.0) == cut
+        assert lo == pytest.approx(max(0.0, x0 - reach), rel=1e-6)
+        assert hi == pytest.approx(x0 + reach, rel=1e-6)
+
+
+@pytest.mark.parametrize("omega, k, hbar, lam", [
+    (1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 4.0), (1.0, 1.0, 1.0, 9.0),
+    (1.0, 1.0, 1.0, 10.0), (1.0, 1.0, 1.0, 900.0), (30.0, 1.0, 50.0, 4860.0),
+    (1.0, 0.01, 1.0, 9e4)])
+def test_collocation_levels_over_lam_range(omega, k, hbar, lam):
+    # lam 1..900 at a_script = 9 through alpha*gamma = lam^2 - 81; 4860 and
+    # 9e4 are a_script itself, at alpha*gamma = 0
+    phys = PhysicalParams(omega=omega, k=k, hbar=hbar)
+    a_script = derive_params(phys, AMB0).a_script
+    amb = AmbiguityParams(alpha=lam ** 2 - a_script ** 2, gamma=1.0)
+    assert derive_params(phys, amb).lam == pytest.approx(lam, rel=1e-12)
+    levels = collocation_levels(phys, amb, checks._COLLOCATION_N)
+    errors = np.abs(levels - spectrum(phys, amb, 2).energies)
+    assert np.max(errors) / phys.hbar_omega <= 1e-10
+
+
+def test_complex_collocation_levels_raise(monkeypatch):
+    # the matrix is not symmetric: a complex pair among the lowest levels
+    # is an error, never its real part
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda matrix: np.array([1.0, 2.0 + 1e-3j, 2.0 - 1e-3j]))
+    with pytest.raises(ConvergenceError, match="complex levels"):
+        collocation_levels(PHYS, AMB19, 8)
 
 
 def test_two_by_two_diagonal_matrix():
@@ -293,33 +344,16 @@ def _count_rows(monkeypatch):
     return rows
 
 
-def test_verify_spectrum_coarse_to_fine_work_and_bits(monkeypatch):
-    # the grid verify resolves at its default parameters with alpha*gamma = 19
-    grid = checks._eigensolver_grid(PHYS, AMB19)
-    rows = _count_rows(monkeypatch)
-    cmp = verify_spectrum(PHYS, AMB19, 2, grid)
-    # plain bisection of grids N and 2N + 1 sweeps 2,403,018 rows; on the
-    # window 4 lam + 130 (N = 8500) the guided bisection took 600,203
-    assert sum(rows) <= 394_961
-    # three pilots, grid N, grid 2N + 1
-    assert set(rows) == {74, 300, 1205, 4825, 9651}
-    for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):
-        plain = lowest_eigenvalues(build_operator(PHYS, AMB19, g), 3)
-        assert [v.hex() for v in solved] == [v.hex() for v in plain]
-
-
 @pytest.mark.parametrize("omega, k, product, n_max, n_points", [
-    (0.99, 1.01, 0.0, 2, None), (1.03, 0.97, 19.0, 2, None),
-    (1.01, 0.99, 19.0, 2, None), (1.0, 1.0, 19.0, 3, 6000)],
+    (0.99, 1.01, 0.0, 2, 2000), (1.03, 0.97, 19.0, 2, 2000),
+    (1.01, 0.99, 19.0, 2, 2000), (1.0, 1.0, 19.0, 3, 6000)],
     ids=["box-low-lam", "box-high-lam", "box-inner", "acceptance-N6000"])
 def test_verify_spectrum_bits_equal_plain_bisection(omega, k, product, n_max,
                                                     n_points):
-    # points of the benchmark's verify box on the grids verify picks, and
-    # the acceptance grid
+    # points of the benchmark's verify box, and the acceptance grid
     phys = PhysicalParams(omega=omega, k=k)
     amb = AmbiguityParams(alpha=product, gamma=1.0)
-    grid = (checks._eigensolver_grid(phys, amb)
-            if n_points is None else YGrid(y_max=150.0, n_points=n_points))
+    grid = YGrid(y_max=150.0, n_points=n_points)
     cmp = verify_spectrum(phys, amb, n_max, grid)
     for solved, g in ((cmp.numeric, grid), (cmp.refined_numeric, grid.refined())):
         plain = _plain_bisection(build_operator(phys, amb, g), n_max + 1)

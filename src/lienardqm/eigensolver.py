@@ -1,29 +1,21 @@
-"""Independent spectral oracle: the momentum-space Hamiltonian as a matrix.
+"""Independent spectral oracles: the momentum-space Hamiltonian as a matrix.
 
-Grid points y in (0, y_max) stand for the momenta
-p = p_max - y hbar omega / (2 p_max), with y = 0 at the domain bound. On
-them quantize.hamiltonian_stencil, the stencil apply_hamiltonian_fd
-applies, gives a symmetric tridiagonal matrix with Dirichlet ends, built
-from 1 - q and V alone, never from lam or a_script. The lowest
-eigenvalues are extracted by
-Sturm-count bisection and compared with the algebraic levels
+Both oracles read the operator's own coefficients, 1 - q and V, never lam
+or a_script, and are compared with the algebraic levels
 (n + 1/2 + lam - a_script) hbar omega.
 
-verify_spectrum solves a chain of pilot grids, then grid N and grid
-2N + 1, coarse to fine. Each grid's bisection first takes Sturm counts
-around a guess of each level extrapolated from the coarser grids. The
-count is monotone in the shift, so such a count is bracket
-information of the same kind as a bisection midpoint: it decides
-midpoints without a sweep but never changes which way one goes, and every
-reported eigenvalue keeps the bits of a plain bisection. The guesses come
-from the solver's own coarser solutions, never from the algebraic
-spectrum it is checked against.
-
-collocation_levels, which `verify` runs, works in x = sqrt(y). There the
+collocation_levels, which `verify` runs, works in x = sqrt(y) for
+p = p_max - y hbar omega / (2 p_max), y = 0 at the domain bound. There the
 operator is -(hbar omega / 4) x^-1 d/dx (x d/dx) + W(x), with W the
 effective potential at the momentum of x. It is collocated at Chebyshev
 points on window_x, a window read off W itself: a fixed number of local
 harmonic widths either side of the minimum of W.
+
+verify_spectrum, the entry point of the acceptance criteria, solves
+quantize.hamiltonian_stencil on points uniform in y (a YGrid) and on the
+grid of half the spacing. The stencil gives a symmetric tridiagonal
+matrix with Dirichlet ends, whose lowest eigenvalues are extracted by
+Sturm-count bisection.
 """
 
 import math
@@ -41,8 +33,6 @@ from .susy import spectrum
 BISECTION_TOL = 1e-10
 _MAX_BISECTIONS = 200
 MIN_POINTS = 500
-_COARSE_MARGIN = 0.1  # see _guesses
-_WIDENING, _MAX_WIDENINGS = 16.0, 8  # see lowest_eigenvalues
 # window_x: 9 widths from their centre, the harmonic states n <= 2 are
 # below 1e-20 of their peak density (4e-11 of their peak amplitude)
 _WINDOW_WIDTHS = 9.0
@@ -57,7 +47,6 @@ class YGrid:
 
     y_max: float
     n_points: int
-    _floor = MIN_POINTS  # least n_points; a class attribute, not a field
 
     def __post_init__(self):
         if not 0.0 < self.y_max < math.inf:
@@ -65,9 +54,9 @@ class YGrid:
         if not isinstance(self.n_points, numbers.Integral):
             raise ValueError(
                 f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < self._floor:
+        if self.n_points < MIN_POINTS:
             raise ValueError(
-                f"need at least {self._floor} grid points, got {self.n_points}")
+                f"need at least {MIN_POINTS} grid points, got {self.n_points}")
 
     @property
     def spacing(self):
@@ -80,12 +69,6 @@ class YGrid:
     def refined(self):
         """Grid with exactly half the spacing (n -> 2n + 1)."""
         return YGrid(y_max=self.y_max, n_points=2 * self.n_points + 1)
-
-
-class _PilotGrid(YGrid):
-    """A coarse grid that verify_spectrum solves only to place guesses."""
-
-    _floor = 60
 
 
 @dataclass(frozen=True)
@@ -220,7 +203,7 @@ def _record_count(op, shift, below, above):
             below[j] = max(below[j], shift)
 
 
-def lowest_eigenvalues(op, count, guesses=()):
+def lowest_eigenvalues(op, count):
     """The `count` smallest eigenvalues, each bisected to 1e-10 absolute.
 
     Bisection on the Sturm count is deterministic and needs no dense
@@ -234,37 +217,15 @@ def lowest_eigenvalues(op, count, guesses=()):
     monotone in the shift (Demmel, Dhillon and Ren 1995), so the decision
     is the one a sweep would give: every level visits the same midpoints
     and returns the same bits as a plain bisection, with fewer sweeps.
-
-    `guesses` holds at most one (centre, margin) pair per level, from
-    level 0 up. Before the bisection, level j is counted at centre -+
-    margin; on a side where the level lies beyond the shift, the margin
-    widens 16-fold, at most 8 times, until a count brackets the level.
-    Shifts that below/above already decide, or that are not finite, are
-    not counted. These counts enter below/above like a midpoint's, so they
-    cannot move a bit either: any guesses (far off, on an eigenvalue, with
-    a subnormal or huge margin, NaN or infinite) return the values a plain
-    bisection returns. A close guess decides more midpoints without a
-    sweep; a wrong one costs at most 18 counts.
     """
     if not 1 <= count <= 10:
         raise ValueError(f"count must be in 1..10, got {count}")
     if count > op.dim:
         raise ValueError(
             f"count {count} exceeds the dimension {op.dim} of the operator")
-    if len(guesses) > count:
-        raise ValueError(
-            f"{len(guesses)} guesses for {count} levels; at most one a level")
     lo_all, hi_all = op.gershgorin()
     below = [-math.inf] * count
     above = [math.inf] * count
-    for j, (centre, margin) in enumerate(guesses):
-        for step in (-margin, margin):
-            for _ in range(_MAX_WIDENINGS + 1):
-                shift = centre + step
-                if not below[j] < shift < above[j]:
-                    break
-                _record_count(op, shift, below, above)
-                step *= _WIDENING
     out = np.empty(count)
     lo_start = lo_all
     for k in range(count):
@@ -316,54 +277,17 @@ class SpectrumComparison:
         return self.errors / self.refined_errors
 
 
-def _guesses(hbar_omega, solved, grid):
-    """A (centre, margin) guess per level on grid.
-
-    solved holds the (grid, eigenvalues) of the coarser grids. A level
-    moves as c0 + c1 h^2 + c2 h^4 + ..., so the centre is the polynomial in
-    h^2 through the last (at most three) solved grids, taken at this h^2.
-    After one grid (spacing h1) that is the level there, within the h^2
-    error scale 0.1 hbar omega h1^2. After more, it is off by the next
-    power of h^2 and the coarser values' bisection tolerance, so the margin
-    is 2 BISECTION_TOL; lowest_eigenvalues widens it on a miss.
-    """
-    if not solved:
-        return ()
-    last = [(g.spacing ** 2, values) for g, values in solved[-3:]]
-    centres = sum(values * math.prod((grid.spacing ** 2 - xj) / (xi - xj)
-                                     for xj, _ in last if xj != xi)
-                  for xi, values in last)
-    margin = (_COARSE_MARGIN * hbar_omega * last[0][0] if len(last) == 1
-              else 2.0 * BISECTION_TOL)
-    return [(c, margin) for c in centres]
-
-
 def verify_spectrum(phys, amb, n_max, grid):
     """Pair solver eigenvalues with the algebraic spectrum for n = 0..n_max.
 
     Also solves on the half-spacing grid so the quadratic convergence of
     the discretization is observable from the error ratios.
-
-    The grids are solved coarse to fine, starting from a chain of pilot
-    grids: each has (n - 3) // 4 points for the n of the grid after it,
-    ~4x its spacing, and the chain grows while that keeps 60 points
-    (_PilotGrid; a caller's grid needs MIN_POINTS). Each grid's bisection
-    starts from guesses extrapolated from the coarser ones (_guesses). They
-    save Sturm sweeps but cannot move a bit of the reported eigenvalues;
-    the pilots' are used for nothing else.
     """
     if not 0 <= n_max <= 5:
         raise ValueError(f"n_max must be in 0..5, got {n_max}")
     table = spectrum(phys, amb, n_max)
-    grids = [grid, grid.refined()]
-    while (grids[0].n_points - 3) // 4 >= _PilotGrid._floor:
-        grids.insert(0, _PilotGrid(y_max=grid.y_max,
-                                   n_points=(grids[0].n_points - 3) // 4))
-    solved = []
-    for g in grids:
-        op = build_operator(phys, amb, g)
-        guesses = _guesses(phys.hbar_omega, solved, g)
-        solved.append((g, lowest_eigenvalues(op, n_max + 1, guesses)))
-    return SpectrumComparison(analytic=table.energies,
-                              numeric=solved[-2][1],
-                              refined_numeric=solved[-1][1])
+    numeric, refined = (lowest_eigenvalues(build_operator(phys, amb, g),
+                                           n_max + 1)
+                        for g in (grid, grid.refined()))
+    return SpectrumComparison(analytic=table.energies, numeric=numeric,
+                              refined_numeric=refined)

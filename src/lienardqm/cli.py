@@ -364,6 +364,9 @@ def _parse_floats(text, key):
 def cmd_classical(config):
     phys = config.phys()
     _require(config.amplitude >= 0.0, "amplitude", ">= 0", config.amplitude)
+    top = 3.0 * phys.omega / phys.k if phys.is_deformed else math.inf
+    _require(config.amplitude < top, "amplitude", f"< 3 omega / k = {top:g} "
+             f"at omega = {phys.omega:g} and k = {phys.k:g}", config.amplitude)
     _require(config.step > 0.0, "step", "> 0", config.step)
     _require(config.t_end is None or config.t_end > 0.0, "t_end", "> 0",
              config.t_end)

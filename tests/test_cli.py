@@ -384,6 +384,10 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
     ("classical --t-end -1", "option 't_end' must be > 0, got -1.0"),
     ("spectrum --hbar 0", "option 'hbar' must be > 0, got 0.0"),
     ("wavefn --hbar 0", "option 'hbar' must be > 0, got 0.0"),
+    ("classical --amplitude 5", "option 'amplitude' must be < 3 omega / k "
+                                "= 3 at omega = 1 and k = 1, got 5.0"),
+    ("classical --amplitude 3", "option 'amplitude' must be < 3 omega / k "
+                                "= 3 at omega = 1 and k = 1, got 3.0"),
 ], ids=["omega-cubed-overflows", "a-script-squared-overflows",
         "k-squared-underflows", "lam-overflows", "unstable-step",
         "limit-a-values", "limit-n-max-negative", "verify-k-zero",
@@ -398,7 +402,8 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
         "limit-k-sequence-negative", "limit-k-sequence-increasing",
         "sweep-axes-huge", "spectrum-n-max-negative",
         "classical-amplitude-negative", "classical-step-zero",
-        "classical-t-end-negative", "spectrum-hbar-zero", "wavefn-hbar-zero"])
+        "classical-t-end-negative", "spectrum-hbar-zero", "wavefn-hbar-zero",
+        "classical-amplitude-over", "classical-amplitude-at"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     out = tmp_path / "o.csv"
     tracemalloc.start()

@@ -79,6 +79,7 @@ CASES = {
     "verify-box-high-lam": "verify --omega 1.03 --k 0.97 --alpha 19 --gamma 1",
     "verify-omega4-k8": "verify --omega 4 --k 8",
     "verify-hbar4-k0.5": "verify --hbar 4 --k 0.5",
+    "verify-a100-r-0.99": "verify --k 0.3 --alpha -9900 --gamma 1",
 }
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, eigensolver, quantize, susy, wavefn
-from .errors import ConstraintViolationError, DomainError
+from .errors import ConstraintViolationError
 from .params import (AmbiguityParams, PhysicalParams, derive_params,
                      momentum_domain)
 
@@ -22,12 +22,12 @@ from .params import (AmbiguityParams, PhysicalParams, derive_params,
 _STATES = ((0.0, 0.0), (0.3, -0.2), (1.1, 0.4), (-0.7, 0.9), (0.5, 1.7))
 
 _RK4_STEP = 1e-3
-# Spacing of the operator checks' momentum grid, and a bound on its size
-# that keeps a verify run to seconds and a few hundred MB.
-_OPERATOR_SPACING = 1e-3
-MAX_OPERATOR_POINTS = 10 ** 6
-# Chebyshev degree of the eigensolver checks, which also solve at twice it
+# Chebyshev degree of the operator and eigensolver checks; the latter also
+# solve at twice it
 _COLLOCATION_N = 64
+# Below it psi_n ~ x^(2 lam) is too rough at the domain bound x = 0 for the
+# collocation: at lam = 2 the eigenrelation row reads 7.8e-8 against 1e-8
+MIN_LAM = 2.5
 
 
 def _product_table(a_script, user_product):
@@ -60,7 +60,7 @@ def _echo(phys, amb):
 
 
 def _inputs(phys, amb):
-    """The inputs that size verify's grids, for a bound's error message."""
+    """The inputs that set lam, for a bound's error message."""
     return (f"omega = {phys.omega:g}, k = {phys.k:g}, hbar = {phys.hbar:g} "
             f"and alpha*gamma = {amb.product:g}")
 
@@ -73,23 +73,6 @@ def _check_rk4_step(phys):
             f"span {2.0 * math.pi / phys.omega:.3g} is under "
             f"{math.pi / math.sqrt(2.0):.3g} steps of the classical checks' "
             f"fixed RK4 step {_RK4_STEP}, where RK4 is unstable")
-
-
-def _operator_grid(phys, amb, derived):
-    """The operator checks' momentum grid over psi_2's window.
-
-    Sized before it is built: the window must hold 16..MAX_OPERATOR_POINTS
-    points at _OPERATOR_SPACING.
-    """
-    lo, hi = wavefn.support_window(phys, derived, 2)
-    width = hi - lo
-    if not 15.0 <= width / _OPERATOR_SPACING <= MAX_OPERATOR_POINTS - 1:
-        raise ConstraintViolationError(
-            f"{_inputs(phys, amb)} give the operator checks a momentum "
-            f"window of width {width:.6g}, which holds "
-            f"{width / _OPERATOR_SPACING + 1:.3g} points at their spacing "
-            f"{_OPERATOR_SPACING}, outside 16..{MAX_OPERATOR_POINTS}")
-    return quantize.MomentumGrid.with_spacing(phys, lo, hi, _OPERATOR_SPACING)
 
 
 def _classical_checks(phys, amb):
@@ -193,36 +176,38 @@ def _susy_checks(phys, amb):
     return rows
 
 
-def _operator_checks(phys, amb, grid):
+def _operator_checks(phys, amb):
+    """H psi_n = E_n psi_n (n <= 2) and A psi_0 = 0 at every collocation
+    node, ends included; psi_n ~ y^lam is 0 at a node on the domain bound.
+    Relative to hbar omega (H) or sqrt(hbar omega) (A) times sup |samples|.
+    """
     echo = _echo(phys, amb)
-    rows = []
     derived = derive_params(phys, amb)
-    table = susy.spectrum(phys, amb, 2)
+    x, p, kinetic, d_dp, shifted = eigensolver.collocation_operator(
+        phys, amb, _COLLOCATION_N)
+    inside = x > 0.0
+
+    def samples(n):
+        values = np.zeros_like(x)
+        values[inside] = wavefn.psi(phys, derived, n, p[inside])
+        return values
 
     worst = 0.0
-    for n in range(3):
-        values = wavefn.psi(phys, derived, n, grid.points)
-        try:
-            h_psi = quantize.apply_hamiltonian_fd(
-                phys, amb, grid, quantize.SampledFunction(grid, values))
-        except DomainError as exc:
-            raise ConstraintViolationError(
-                f"lam = {derived.lam:.6g}, set by {_inputs(phys, amb)}, leaves "
-                f"psi_{n} above 1e-8 of its peak at an end of the operator "
-                f"checks' momentum window (psi_2's support window)") from exc
-        resid = np.max(np.abs(h_psi.values - table.energies[n] * values[1:-1]))
-        worst = max(worst, resid)
-    rows.append(ReportRecord.from_absolute(
-        "quantize.eigenrelation-residual", echo, worst, 0.0, 1e-5))
-
-    sp = susy.Superpotential.from_derived(phys, derived)
-    psi0 = quantize.SampledFunction(
-        grid, wavefn.psi(phys, derived, 0, grid.points))
-    lowered = susy.apply_lowering(sp, psi0)
-    rows.append(ReportRecord.from_absolute(
-        "susy.ground-state-annihilation", echo,
-        np.max(np.abs(lowered.values)), 0.0, 1e-5))
-    return rows
+    for n, energy in enumerate(susy.spectrum(phys, amb, 2).energies):
+        u = np.sqrt(x) * samples(n)
+        resid = kinetic @ u + (shifted - energy) * u[1:-1]
+        worst = max(worst, np.max(np.abs(resid)) / np.max(np.abs(u)))
+    psi0 = samples(0)
+    lowered = susy.lowering(susy.Superpotential.from_derived(phys, derived),
+                            p[1:-1], psi0[1:-1], d_dp @ psi0)
+    return [ReportRecord.from_absolute(
+                "quantize.eigenrelation-residual", echo,
+                worst / phys.hbar_omega, 0.0, 1e-8),
+            ReportRecord.from_absolute(
+                "susy.ground-state-annihilation", echo,
+                np.max(np.abs(lowered)) / (math.sqrt(phys.hbar_omega)
+                                           * np.max(np.abs(psi0))),
+                0.0, 1e-8)]
 
 
 def _eigensolver_checks(phys, amb):
@@ -284,26 +269,27 @@ def _wavefn_checks(phys, amb):
 def run_suite(phys, amb):
     """Run every module's fast invariant checks; returns ReportRecords.
 
-    The checks need the deformed oscillator (k > 0) and an omega the RK4
-    step resolves. The parameters set the operator checks' grid, which
-    must stay within its size bound (_operator_grid). Those inputs are
-    rejected before any check runs; a state that does not vanish at the
-    ends of the operator checks' window is rejected once it is sampled.
-    The eigensolver checks collocate at a fixed degree on a window read off
-    the operator, so they have no size to bound.
+    The checks need the deformed oscillator (k > 0), an omega the RK4 step
+    resolves and lam >= MIN_LAM; other inputs are rejected before any check
+    runs. The operator and eigensolver checks collocate at a fixed degree
+    on a window read off the operator, so they have no size to bound.
     """
     if not phys.is_deformed:
         raise ConstraintViolationError(
             "verify needs k > 0, got k = 0; the k = 0 harmonic oscillator "
             "is served by `spectrum`, `wavefn` and `limit`")
     _check_rk4_step(phys)
-    derived = derive_params(phys, amb)
-    operator_grid = _operator_grid(phys, amb, derived)
+    lam = derive_params(phys, amb).lam
+    if lam < MIN_LAM:
+        raise ConstraintViolationError(
+            f"lam = {lam:.6g}, set by {_inputs(phys, amb)}, is below "
+            f"{MIN_LAM}, the least lam verify serves: psi_n ~ y^lam is too "
+            f"rough at the domain bound for its collocation checks")
     records = []
     records.extend(_classical_checks(phys, amb))
     records.extend(_potential_checks(phys, amb))
     records.extend(_susy_checks(phys, amb))
-    records.extend(_operator_checks(phys, amb, operator_grid))
+    records.extend(_operator_checks(phys, amb))
     records.extend(_eigensolver_checks(phys, amb))
     records.extend(_wavefn_checks(phys, amb))
     return records

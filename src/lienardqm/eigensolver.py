@@ -4,12 +4,12 @@ Both oracles read the operator's own coefficients, 1 - q and V, never lam
 or a_script, and are compared with the algebraic levels
 (n + 1/2 + lam - a_script) hbar omega.
 
-collocation_levels, which `verify` runs, works in x = sqrt(y) for
-p = p_max - y hbar omega / (2 p_max), y = 0 at the domain bound. There the
-operator is -(hbar omega / 4) x^-1 d/dx (x d/dx) + W(x), with W the
-effective potential at the momentum of x. It is collocated at Chebyshev
-points on window_x, a window read off W itself: a fixed number of local
-harmonic widths either side of the minimum of W.
+collocation_operator, behind `verify`'s levels and operator rows, works in
+x = sqrt(y) for p = p_max - y hbar omega / (2 p_max), y = 0 at the domain
+bound. There the operator is -(hbar omega / 4) x^-1 d/dx (x d/dx) + W(x),
+with W the effective potential at the momentum of x. It is collocated at
+Chebyshev points on window_x, a window read off W itself: a fixed number
+of local harmonic widths either side of the minimum of W.
 
 verify_spectrum, the entry point of the acceptance criteria, solves
 quantize.hamiltonian_stencil on points uniform in y (a YGrid) and on the
@@ -21,7 +21,7 @@ Sturm-count bisection.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -114,12 +114,6 @@ def _momentum_map(phys):
     return p_max, phys.hbar_omega / (2.0 * p_max)
 
 
-def _potential_in_x(phys, amb, x):
-    """W(x): the effective potential at the momentum of y = x^2."""
-    p_max, scale = _momentum_map(phys)
-    return quantize.effective_potential(phys, amb, p_max - scale * x ** 2)
-
-
 def build_operator(phys, amb, grid):
     """hamiltonian_stencil on the grid's momenta, passed in ascending p."""
     p_max, scale = _momentum_map(phys)
@@ -141,8 +135,11 @@ def window_x(phys, amb):
     discrete minimum and its neighbours, then one through 1e-3 x0 either
     side of that vertex, place x0, and the last gives W''(x0).
     """
-    potential = partial(_potential_in_x, phys, amb)
     p_max, scale = _momentum_map(phys)
+
+    def potential(x):  # W at the momentum of y = x^2
+        return quantize.effective_potential(phys, amb, p_max - scale * x ** 2)
+
     x = math.sqrt(p_max / scale)  # p = 0
     step = 0.5 if potential(2.0 * x) > potential(x) else 2.0
     while potential(step * x) < potential(x):
@@ -168,24 +165,36 @@ def _cheb(n):
     return t, d - np.diag(d.sum(axis=1))
 
 
-def collocation_levels(phys, amb, n):
-    """The three lowest levels by Chebyshev collocation on window_x.
+def collocation_operator(phys, amb, n):
+    """The operator in x = sqrt(y) at the n + 1 Chebyshev nodes of window_x.
 
-    With u = sqrt(x) psi the operator is -kappa u'' + (W - kappa / (4 x^2)) u,
-    kappa = hbar omega / 4. It is collocated at the n + 1 Chebyshev points
-    mapped onto the window, with u = 0 at both ends, and the n - 1 interior
-    rows go to numpy.linalg.eigvals. The matrix is not symmetric, so a
-    complex level among the lowest three raises ConvergenceError instead
-    of being passed off as its real part.
+    With u = sqrt(x) psi it is -kappa u'' + (W - kappa / (4 x^2)) u, kappa =
+    hbar omega / 4. Returns the nodes x, descending from hi to lo, their
+    momenta p, the matrices -kappa d^2/dx^2 and d/dp with a row for each
+    interior node and a column for each node, and W - kappa / (4 x^2) at
+    the interior nodes.
     """
     lo, hi = window_x(phys, amb)
     t, d = _cheb(n)
-    x = lo + 0.5 * (hi - lo) * (t[1:-1] + 1.0)
+    x = lo + 0.5 * (hi - lo) * (t + 1.0)
+    p_max, scale = _momentum_map(phys)
+    p = p_max - scale * x ** 2
     kappa = 0.25 * phys.hbar_omega
-    matrix = -kappa * (2.0 / (hi - lo)) ** 2 * (d @ d)[1:-1, 1:-1]
-    matrix[np.diag_indices_from(matrix)] += (
-        _potential_in_x(phys, amb, x) - kappa / (4.0 * x ** 2))
-    values = np.linalg.eigvals(matrix)
+    inner = x[1:-1]
+    return (x, p, -kappa * (2.0 / (hi - lo)) ** 2 * (d @ d)[1:-1],
+            2.0 / (hi - lo) * d[1:-1] / (-2.0 * scale * inner[:, None]),
+            (quantize.effective_potential(phys, amb, p[1:-1])
+             - kappa / (4.0 * inner ** 2)))
+
+
+def collocation_levels(phys, amb, n):
+    """The three lowest levels of the collocation_operator with u = 0 at
+    both ends, by numpy.linalg.eigvals. The matrix is not symmetric, so a
+    complex level among the lowest three raises ConvergenceError instead
+    of being passed off as its real part.
+    """
+    _, _, kinetic, _, shifted = collocation_operator(phys, amb, n)
+    values = np.linalg.eigvals(kinetic[:, 1:-1] + np.diag(shifted))
     lowest = values[np.argsort(values.real)[:3]]
     if np.any(lowest.imag != 0.0):
         raise ConvergenceError(

@@ -217,20 +217,19 @@ def _inv_sqrt_mass(phys, p):
     return phys.omega * np.sqrt(deformation_factor(phys, p))
 
 
-def apply_lowering(sp, samples):
-    """A psi = (hbar/sqrt 2)(1/sqrt m) psi' + W psi, central differences.
+def lowering(sp, p, values, derivative):
+    """A psi = (hbar/sqrt 2)(1/sqrt m) psi' + W psi from psi and psi' at p."""
+    return (sp.phys.hbar / SQRT2 * _inv_sqrt_mass(sp.phys, p) * derivative
+            + superpotential_eval(sp, p) * values)
 
-    Result lives on the interior of the sample grid.
-    """
-    phys = sp.phys
+
+def apply_lowering(sp, samples):
+    """A psi with psi' by central differences, on the sample grid's interior."""
     grid = samples.grid
-    p = grid.points
     v = samples.values
-    h = grid.spacing
-    dpsi = (v[2:] - v[:-2]) / (2.0 * h)
-    w = superpotential_eval(sp, p[1:-1])
-    out = phys.hbar / SQRT2 * _inv_sqrt_mass(phys, p[1:-1]) * dpsi + w * v[1:-1]
-    return SampledFunction(grid=grid.interior(), values=out)
+    dpsi = (v[2:] - v[:-2]) / (2.0 * grid.spacing)
+    return SampledFunction(grid=grid.interior(), values=lowering(
+        sp, grid.points[1:-1], v[1:-1], dpsi))
 
 
 def apply_raising(sp, samples):

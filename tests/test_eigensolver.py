@@ -114,14 +114,16 @@ def test_levels_row_fails_when_the_product_is_off_by_1e_6(monkeypatch):
 
 def test_eigensolver_grid_ignores_a_mutated_lam(monkeypatch):
     # the collocation window comes from the operator, so a wrong lam leaves
-    # the points verify's eigensolver checks collocate at as they are
+    # the points verify's operator and eigensolver checks collocate at as
+    # they are
     windows = []
     window_x = eigensolver.window_x
     monkeypatch.setattr(eigensolver, "window_x", lambda phys, amb: (
         windows.append(window_x(phys, amb)) or windows[-1]))
     checks.run_suite(PHYS, AMB19)
     expected = list(windows)
-    assert expected == [window_x(PHYS, AMB19)] * 2  # at N and at 2N
+    # the operator rows at N, then the levels at N and at 2N
+    assert expected == [window_x(PHYS, AMB19)] * 3
     windows.clear()
     for module in (checks, susy):
         monkeypatch.setattr(module, "derive_params", _wrong_lam)

@@ -80,6 +80,12 @@ CASES = {
     "verify-omega4-k8": "verify --omega 4 --k 8",
     "verify-hbar4-k0.5": "verify --hbar 4 --k 0.5",
     "verify-a100-r-0.99": "verify --k 0.3 --alpha -9900 --gamma 1",
+    "wavefn-k0-20001-json": "wavefn --k 0 --level 3 --samples 20001 "
+                            "--format json",
+    "classical-100k-json": "classical --amplitude 1 --step 1e-4 --t-end 10 "
+                           "--format json",
+    "classical-k0-amplitude-1e200": "classical --k 0 --amplitude 1e200",
+    "classical-amplitude-1e299": "classical --k 1e-300 --amplitude 1e299",
 }
 
 

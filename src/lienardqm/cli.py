@@ -65,7 +65,10 @@ class RunConfig:
                                   "period)")
     step: float = _option(1e-3, "RK4 step")
     level: int = _option(0, "level index n")
-    samples: int = _option(1001, "number of momentum samples")
+    samples: int = _option(1001, "number of momentum samples (default 1001, "
+                           "which does not resolve high levels: the written "
+                           "psi_n's trapezoid norm is 1 + 9e-7 at n = 20, "
+                           "0.982 at n = 40 and 1.070 at n = 50)")
     omega_values: str | None = _option(None, "comma-separated omega list")
     k_values: str | None = _option(None, "comma-separated k list")
     alpha_values: str | None = _option(None, "comma-separated alpha list")
@@ -104,6 +107,7 @@ _FLOAT_CELL = "%.17g"  # 17 significant digits: every float64 round-trips
 
 # Rows a table may hold; checked before any row is computed.
 MAX_ROWS = 10 ** 6
+_AMPLITUDE_MAX = math.sqrt(sys.float_info.max)
 
 
 def _fmt(value):
@@ -118,12 +122,9 @@ def _fmt(value):
 
 
 def _cells(column, fmt):
-    """The serialized cells of one column of row tuples, or of a float64
-    array in JSON. A float64 array column takes one C-level pass (no
-    float's JSON text holds ", "); any other column is serialized cell by
-    cell. CSV float64 arrays never come here: `_csv_lines` formats them."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return json.dumps(column.tolist())[1:-1].split(", ")
+    """The serialized cells of one column of row tuples: `_fmt` on each
+    cell (CSV) or `json.dumps` (JSON). float64 arrays never come here:
+    `_table_text` formats them."""
     return list(map(_fmt if fmt == "csv" else json.dumps, column))
 
 
@@ -131,10 +132,11 @@ def _cells(column, fmt):
 # x = -281..280); 2^27 + 1 splits a double into two 26-bit halves (Dekker).
 _X_MIN, _X_MAX = -281, 280
 _SPLIT = 134217729.0
-# |frac - 1/2| below which a scaled value counts as a tie. The double-double
-# scaled value is off by under 1e-14 of a unit in the 17th digit.
+# Margin, in units of the 17th digit, within which a scaled value counts as
+# a tie or as on a round-trip bound. The double-double scaled value and the
+# half-gap are off by under 1e-14 of such a unit.
 _TIE = 1e-9
-_SLOT = 25  # bytes per cell: sign, at most 23 of text, separator
+_TEXT = 24  # bytes of a cell's text: sign and at most 23 more
 _CHUNK_CELLS = 2 ** 13  # cells formatted per pass; bounds the temporaries
 
 
@@ -165,42 +167,78 @@ def _decimal_tables():
 
 
 def _scaled_digits(values):
-    """(x, D, exact) for a 1-D float64 array: each cell's decimal exponent
-    x (int16), its 17-digit integer D = round(|v| 10^(16 - x)) and whether
-    the two are exact. A cell that is not exact is formatted otherwise.
+    """(x, whole, frac, ok) for a 1-D float64 array: each cell's decimal
+    exponent x (int16) and its scaled value S = |v| 10^(16 - x), split into
+    floor(S) (int64) and S - floor(S) (float64), and whether S is usable.
 
-    x is floor(log10 |v|). |v| 10^(16 - x) is formed as a double-double,
-    Dekker's exact product with the (hi, lo) power of ten. It is not exact
-    for 0, inf, nan and |v| outside [1e-280, 1e280] (all worked as 1), for
-    near-ties, since Python rounds an exact tie half-even, and where the
-    scaled value falls outside [1e16, 1e17) because log10 picked the wrong
-    exponent (e.g. 1e-277, whose double lies just below 10^-277).
+    x is floor(log10 |v|). S is formed as a double-double, Dekker's exact
+    product with the (hi, lo) power of ten. It is not usable for 0, inf,
+    nan and |v| outside [1e-280, 1e280] (all worked as 1), nor where S
+    falls below 1e16 because log10 picked too high an exponent (e.g.
+    1e-277, whose double lies just below 10^-277). Where log10 picks too
+    low one, S reaches 1e17, which the digit rules reject.
     """
     hi_t, head_t, tail_t, lo_t, _ = _decimal_tables()
     mag = np.abs(values)
-    exact = (mag >= 1e-280) & (mag <= 1e280)
-    np.copyto(mag, 1.0, where=~exact)
+    ok = (mag >= 1e-280) & (mag <= 1e280)
+    np.copyto(mag, 1.0, where=~ok)
     x = np.floor(np.log10(mag)).astype(np.int16)
     i = x - _X_MIN
     hi, head = hi_t.take(i), head_t.take(i)
-    # mag * hi = p + err exactly; scaled = p + err + mag * lo
+    # mag * hi = p + err exactly; S = p + err + mag * lo
     p = mag * hi
     split = mag * _SPLIT
     mag_head = split - (split - mag)
     mag_tail = mag - mag_head
+    tail = tail_t.take(i)
     err = mag_head * head
     err -= p
-    err += mag_head * tail_t.take(i)
+    err += mag_head * tail
     err += mag_tail * head
-    err += mag_tail * tail_t.take(i)
+    err += mag_tail * tail
     err += mag * lo_t.take(i)
     whole = np.floor(err)
-    above_half = err - whole - 0.5
-    digits = p.astype(np.int64) + whole.astype(np.int64)
-    exact &= (digits >= 10 ** 16) & (np.abs(above_half) > _TIE)
-    digits += above_half > 0
-    exact &= digits < 10 ** 17
-    return x, digits, exact
+    frac = err - whole
+    whole = p.astype(np.int64) + whole.astype(np.int64)
+    ok &= whole >= 10 ** 16
+    return x, whole, frac, ok
+
+
+def _digits_17g(values, x, whole, frac, ok):
+    """`'%.17g'`'s digits: S rounded to a 17-digit integer D, and whether D
+    is sure. An exact tie is not: Python rounds it half-even."""
+    digits = whole + (frac > 0.5)
+    return digits, ok & (np.abs(frac - 0.5) > _TIE) & (digits < 10 ** 17)
+
+
+def _digits_repr(values, x, whole, frac, ok):
+    """`float.__repr__`'s digits as a 17-digit integer D: the multiple of
+    the highest power of ten within half a gap of S, the nearest such if
+    several, so that it reads back as v; and whether D is sure.
+
+    With |v| = f 2^e, half the gap to either neighbour is H = 2^(e - 54) in
+    units of |v| and 10^(x - 16) in S's, in [0.55, 11.1]. Of the multiples
+    of 10^(j + 1), for j = 1 if 2H > 10 else 0, at most one lies within H;
+    the nearest multiple of 10^j always does, by at least 0.005. Both are
+    found from S mod 100. D is not sure when the distance to the former is
+    within _TIE of H (the bound rounds half-even), at a tie between two
+    multiples of 10^j, when f = 1/2 (the gap below is half the one above)
+    or when D reaches 10^17.
+    """
+    f, e = np.frexp(np.where(ok, values, 1.0))
+    half_gap = np.ldexp(_decimal_tables()[0].take(x - _X_MIN), e - 54)
+    base = whole // 100 * 100
+    rest = (whole - base) + frac
+    step = np.where(half_gap > 5.0, 100.0, 10.0)
+    coarse = np.rint(rest / step) * step
+    dist = np.abs(rest - coarse)
+    step /= 10.0
+    nearest = np.rint(rest / step) * step
+    within = dist < half_gap
+    ok &= ((np.abs(dist - half_gap) > _TIE) & (np.abs(f) != 0.5)
+           & (within | (np.abs(np.abs(rest - nearest) - step / 2) > _TIE)))
+    digits = base + np.where(within, coarse, nearest).astype(np.int64)
+    return digits, ok & (digits < 10 ** 17)
 
 
 def _digit_chars(digits):
@@ -224,32 +262,73 @@ def _digit_chars(digits):
     return quad.view(np.uint8)[:, 3:]
 
 
-def _csv_lines(block):
-    """The CSV lines of a 2-D float64 block: `'%.17g' % v` in every cell.
+@dataclass(frozen=True)
+class _TextFormat:
+    """How the array formatter writes a float64 cell in one output format:
+    the digit rule, the exponents laid out in fixed notation (-4 <= x <
+    fixed_below), whether an integral fixed value ends in '.0', the text of
+    0 and inf after the sign and of nan over it (nan has no sign), and the
+    formatter of a cell whose digits are not sure."""
 
-    `_scaled_digits` and `_digit_chars` give each cell's exponent x and
-    its 17 digits with trailing zeros stripped. The cells are sorted by x,
-    and each exponent group lays its digits into fixed 25-byte slots by
-    slice assignments, in the %g layout of that x (fixed for -4 <= x < 17,
-    else d.ddde±XX). NUL bytes pad the slots and are dropped at the end.
-    0, inf and nan ('nan' has no sign) are laid out as 1 and patched; the
-    other cells that are not exact go through '%.17g' itself, all together.
+    digits: object
+    fixed_below: int
+    point_zero: bool
+    zero: bytes
+    inf: bytes
+    nan: bytes
+    fallback: object
+
+
+_FORMATS = {
+    "csv": _TextFormat(_digits_17g, 17, False, b"0", b"inf", b"\0nan",
+                       _FLOAT_CELL.__mod__),
+    "json": _TextFormat(_digits_repr, 16, True, b"0.0", b"Infinity",
+                        b"\0NaN", float.__repr__),
+}
+
+
+def _table_text(block, fmt, prefixes, separator):
+    """The text of a 2-D float64 block, each cell in the layout of `fmt`
+    ('%.17g' for CSV, `float.__repr__` as `json.dumps` writes it for JSON),
+    preceded by its column's byte prefix; rows are joined by `separator`.
+
+    The digit rule gives each cell's exponent x and its digits D, and
+    `_digit_chars` their text with trailing zeros stripped. The cells are
+    sorted by x, and each exponent group lays its digits into fixed slots
+    by slice assignments, in the layout of that x (fixed notation, else
+    d.ddde±XX). NUL bytes pad the slots and are dropped at the end. 0, inf
+    and nan (which has no sign) are laid out as 1 and patched; the other
+    cells whose digits are not sure go through the format's own fallback,
+    all together.
     """
+    form = _FORMATS[fmt]
     values = block.ravel()
     n = len(values)
-    x, digits, exact = _scaled_digits(values)
+    x, whole, frac, ok = _scaled_digits(values)
+    digits, ok = form.digits(values, x, whole, frac, ok)
     order = np.argsort(x, kind="stable")
     chars = _digit_chars(digits.take(order))
-    text = np.zeros((n, _SLOT), np.uint8)
+    # a row: each cell's slot holds its prefix, then its text; the first
+    # slot opens with the separator from the row before
+    prefixes = [separator + prefixes[0], *prefixes[1:]]
+    width = max(map(len, prefixes))
+    row = b"".join(prefix.ljust(width + _TEXT, b"\0") for prefix in prefixes)
+    slots = np.zeros((n, width + _TEXT), np.uint8)
+    text = slots[:, width:]
     start = 0
     for count, xv in zip(np.bincount(x - _X_MIN), range(_X_MIN, _X_MAX + 1)):
         if not count:
             continue
         t, d = text[start:start + count], chars[start:start + count]
         start += count
-        if 0 <= xv < 17:  # integer digits keep their zeros: NUL | '0' = '0'
+        if 0 <= xv < form.fixed_below:
+            # integer digits keep their zeros: NUL | '0' = '0'
             np.bitwise_or(d[:, :xv + 1], 48, out=t[:, 1:xv + 2])
-            if xv < 16:  # a point only before a kept digit: min(NUL, '.')
+            if form.point_zero:  # '.', then at least one digit
+                t[:, xv + 2] = 46
+                np.bitwise_or(d[:, xv + 1], 48, out=t[:, xv + 3])
+                t[:, xv + 4:19] = d[:, xv + 2:]
+            elif xv < 16:  # a point only before a kept digit: min(NUL, '.')
                 np.minimum(d[:, xv + 1], 46, out=t[:, xv + 2])
                 t[:, xv + 3:19] = d[:, xv + 1:]
         elif -4 <= xv < 0:
@@ -264,18 +343,20 @@ def _csv_lines(block):
             t[:, 19:19 + len(suffix)] = suffix
     inverse = np.empty_like(order)
     inverse[order] = np.arange(n)
-    out = text.take(inverse, axis=0)
-    out[:, 0] = np.signbit(values) * 45
-    out[values == 0, 1] = ord("0")
-    out[np.isinf(values), 1:4] = np.frombuffer(b"inf", np.uint8)
-    out[np.isnan(values), :4] = np.frombuffer(b"\0nan", np.uint8)
-    rest = np.flatnonzero(~exact & np.isfinite(values) & (values != 0))
+    out = slots.take(inverse, axis=0)
+    # the prefixes fill bytes that the text leaves NUL
+    out.reshape(len(block), -1)[:] |= np.frombuffer(row, np.uint8)
+    out[0, :len(separator)] = 0
+    cells = out[:, width:]
+    cells[:, 0] = np.signbit(values) * 45
+    cells[values == 0, 1:1 + len(form.zero)] = np.frombuffer(form.zero, np.uint8)
+    cells[np.isinf(values), 1:1 + len(form.inf)] = np.frombuffer(form.inf, np.uint8)
+    cells[np.isnan(values), :len(form.nan)] = np.frombuffer(form.nan, np.uint8)
+    rest = np.flatnonzero(~ok & np.isfinite(values) & (values != 0))
     if len(rest):
-        out[rest, :-1] = np.array(
-            [_FLOAT_CELL % v for v in values[rest].tolist()],
-            dtype=f"S{_SLOT - 1}").view(np.uint8).reshape(-1, _SLOT - 1)
-    out.reshape(block.shape + (_SLOT,))[..., -1] = ord(",")
-    out.reshape(block.shape + (_SLOT,))[:, -1, -1] = ord("\n")
+        cells[rest] = np.array(
+            list(map(form.fallback, values[rest].tolist())),
+            dtype=f"S{_TEXT}").view(np.uint8).reshape(-1, _TEXT)
     out = out.ravel()
     return out[out != 0].tobytes()
 
@@ -285,39 +366,56 @@ def write_output(path, columns, rows, meta, fmt):
 
     rows is a 2-D float64 array or a sequence of row tuples; its bytes are
     those of `_fmt` on every cell (CSV) or of `json.dumps(payload,
-    sort_keys=True, indent=1)` (JSON). A float64 array in CSV is formatted
-    by `_csv_lines` in numpy, in blocks of about `_CHUNK_CELLS` cells, and
-    written block by block. Anything else is serialized a column at a time
-    by `_cells`.
+    sort_keys=True, indent=1)` (JSON). Either way a row is each cell behind
+    its column's prefix (',' or '   "key": '), with a separator between
+    rows. A float64 array is formatted by `_table_text` in numpy, in blocks
+    of about `_CHUNK_CELLS` cells, and written block by block. Row tuples
+    are serialized a column at a time by `_cells` and laid into a per-row
+    template.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
-    if fmt == "csv" and isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        step = max(1, _CHUNK_CELLS // max(rows.shape[1], 1))
-        starts = range(0, len(rows), step) if rows.size else ()
-        parts = itertools.chain(
-            [(",".join(columns) + "\n").encode()],
-            (_csv_lines(rows[start:start + step]) for start in starts))
-        return _write_parts(path, parts)
-    table = rows.T if isinstance(rows, np.ndarray) else zip(*rows)
-    cells = [_cells(column, fmt) for column in table] if len(rows) else []
     if fmt == "csv":
-        text = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+        take = list(range(len(columns)))
+        prefixes, separator = ["", *[","] * (len(columns) - 1)], "\n"
+        head, tail = ",".join(columns) + "\n", "\n"
+        empty = head
     else:
-        text = json.dumps({"meta": {"params": meta, "version": __version__},
-                           "rows": []}, sort_keys=True, indent=1)
-        if cells:
-            # one row's JSON text with a %s per cell; a repeated column
-            # name keeps its last column, as dict(zip(columns, row)) does
-            index = {name: i for i, name in enumerate(columns)}
-            keys = sorted(index)
-            row = "  {\n" + ",\n".join(
-                f"   {json.dumps(key).replace('%', '%%')}: %s"
-                for key in keys) + "\n  }"
-            body = map(row.__mod__, zip(*(cells[index[key]] for key in keys)))
-            text = text[:-len("[]\n}")] + "[\n" + ",\n".join(body) + "\n ]\n}"
-        text += "\n"
-    return _write_parts(path, [text.encode("utf-8")])
+        # keys sorted; a repeated column name keeps its last column, as
+        # dict(zip(columns, row)) does
+        index = {name: i for i, name in enumerate(columns)}
+        take = [index[key] for key in sorted(index)]
+        prefixes = [f"{',' if j else '  {'}\n   {json.dumps(columns[i])}: "
+                    for j, i in enumerate(take)]
+        separator = "\n  },\n"
+        empty = json.dumps({"meta": {"params": meta, "version": __version__},
+                            "rows": []}, sort_keys=True, indent=1) + "\n"
+        head, tail = empty[:-len("[]\n}\n")] + "[\n", "\n  }\n ]\n}\n"
+    if not (len(rows) and take):
+        return _write_parts(path, [empty.encode()])
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        parts = _table_parts(rows, take, fmt, [p.encode() for p in prefixes],
+                             separator.encode())
+        return _write_parts(path, itertools.chain(
+            [head.encode()], parts, [tail.encode()]))
+    table = rows.T if isinstance(rows, np.ndarray) else list(zip(*rows))
+    cells = [_cells(table[i], fmt) for i in take]
+    # one row's text with a %s per cell
+    row = "%s".join(p.replace("%", "%%") for p in [*prefixes, ""])
+    body = separator.join(map(row.__mod__, zip(*cells)))
+    return _write_parts(path, [(head + body + tail).encode()])
+
+
+def _table_parts(rows, take, fmt, prefixes, separator):
+    """The text of the columns `take` of a float64 array in `fmt`, one
+    part per block of about `_CHUNK_CELLS` cells, the parts joined by
+    `separator`."""
+    step = max(1, _CHUNK_CELLS // len(take))
+    for start in range(0, len(rows), step):
+        if start:
+            yield separator
+        yield _table_text(rows[start:start + step, take], fmt, prefixes,
+                          separator)
 
 
 def _write_parts(path, parts):
@@ -364,6 +462,10 @@ def _parse_floats(text, key):
 def cmd_classical(config):
     phys = config.phys()
     _require(config.amplitude >= 0.0, "amplitude", ">= 0", config.amplitude)
+    # the closed-form velocity squares the amplitude, even at k = 0
+    _require(config.amplitude <= _AMPLITUDE_MAX, "amplitude",
+             f"<= {_AMPLITUDE_MAX:g}, where its square overflows",
+             config.amplitude)
     top = 3.0 * phys.omega / phys.k if phys.is_deformed else math.inf
     _require(config.amplitude < top, "amplitude", f"< 3 omega / k = {top:g} "
              f"at omega = {phys.omega:g} and k = {phys.k:g}", config.amplitude)
@@ -595,8 +697,27 @@ def load_config(args):
                         if name in read})
 
 
+def _joined(argv):
+    """argv with each value that starts like a negative number joined to the
+    subcommand's option flag before it ('--gamma=-4.8e-05'). argparse reads
+    only '-N' and '-N.N' as numbers and takes any other such token for an
+    option."""
+    command = argv[0] if argv and argv[0] in _OPTIONS else None
+    flags = {"--config"} | {"--" + field.name.replace("_", "-")
+                            for field in _fields(command)} if command else ()
+    out = []
+    for token in argv:
+        negative = token[:1] == "-" and token[1:2] in tuple("0123456789.")
+        if negative and out and out[-1] in flags:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _joined(sys.argv[1:] if argv is None else argv))
     try:
         config = load_config(args)
         return _COMMANDS[args.command](config)

@@ -39,6 +39,16 @@ def test_spectrum_constraint_violation_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "spectrum --alpha 2.97306 --gamma -4.84517e-05",
+    "spectrum --alpha 2.97306 --gamma=-4.84517e-05",
+    "sweep --alpha-values -1e-3,2 --gamma 1",
+])
+def test_negative_values_in_any_notation_parse(tmp_path, argv):
+    # argparse alone takes '-4.84517e-05' and '-1e-3,2' for options
+    assert main([*argv.split(), "--output", str(tmp_path / "o.csv")]) == 0
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["spectrum", "--frequency", "1"])
@@ -196,7 +206,9 @@ def test_write_output_matches_cell_by_cell_reference(tmp_path, table, meta,
 
 
 def _percent_17g_cases():
-    """float64 values that reach every path of the array CSV formatter."""
+    """float64 values that reach every path of the array formatter: each
+    layout, both shortest-digit levels of JSON, and its bound, tie and
+    power-of-two fallbacks besides those CSV shares."""
     rng = np.random.default_rng(20261018)
     tens = np.array([float(f"1e{e}") for e in range(-300, 301)])
     ties = rng.integers(2 ** 52, 2 ** 53, 2000) / 4.0  # m/4 in [2^50, 2^51)
@@ -205,23 +217,38 @@ def _percent_17g_cases():
                 np.finfo(float).tiny, 1e-5, 1e-4, 9.9999999999999991e-5,
                 0.00012345, 1e16, 1e17, 99999999999999984.0,
                 12345678901234567.0, 1125899906842624.25, 0.5, 1.0, 100.0]
+    # short decimals, as the CLI's grids and steps write them
+    decimals = [np.round(rng.uniform(-1e3, 1e3, 2000), places)
+                for places in range(8)]
+    near = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17])
+    neighbours = near[:, None] + np.arange(-8, 9) * np.spacing(near)[:, None]
     return np.concatenate([
         rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64),
         tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), -tens,
         ties, -ties, specials,
-        rng.standard_normal(2000) * 10.0 ** rng.integers(-120, 120, 2000)])
+        rng.standard_normal(2000) * 10.0 ** rng.integers(-120, 120, 2000),
+        *decimals, np.linspace(-5.0, 5.0, 20001), np.arange(5000) * 2e-4,
+        np.arange(10 ** 6 + 1, step=97, dtype=np.float64),
+        np.ldexp(1.0, np.arange(-930, 931)), neighbours.ravel()])
 
 
-def test_csv_array_cells_match_percent_17g(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_csv_array_cells_match_percent_17g(tmp_path, fmt):
+    # CSV cells are '%.17g' % v; JSON is json.dumps of the same table
     values = _percent_17g_cases()
     rows = values[:len(values) // 3 * 3].reshape(-1, 3)
-    out = tmp_path / "o.csv"
-    write_output(out, ("a", "b", "c"), rows, {}, "csv")
+    out = tmp_path / f"o.{fmt}"
+    write_output(out, ("b", "c", "a"), rows, {}, fmt)
     with open(out, "rb") as fh:
         got = fh.read().split(b"\n")
-    assert got[0] == b"a,b,c" and got[-1] == b"" and len(got) == len(rows) + 2
-    want = (",".join(["%.17g"] * 3) % tuple(row) for row in rows.tolist())
-    for line, text in zip(got[1:], want):
+    if fmt == "csv":
+        want = ["b,c,a", *(",".join(["%.17g"] * 3) % tuple(row)
+                           for row in rows.tolist()), ""]
+    else:
+        want = _reference_output(("b", "c", "a"), rows.tolist(), {},
+                                 "json").split("\n")
+    assert len(got) == len(want)
+    for line, text in zip(got, want):
         assert line == text.encode()
 
 
@@ -384,6 +411,11 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
                                 "= 3 at omega = 1 and k = 1, got 5.0"),
     ("classical --amplitude 3", "option 'amplitude' must be < 3 omega / k "
                                 "= 3 at omega = 1 and k = 1, got 3.0"),
+    ("classical --k 0 --amplitude 1e200", "option 'amplitude' must be <= "
+                                          "1.34078e+154, where its square "
+                                          "overflows, got 1e+200"),
+    ("classical --k 1e-300 --amplitude 1e299", "option 'amplitude' must be "
+                                               "<= 1.34078e+154"),
 ], ids=["omega-cubed-overflows", "a-script-squared-overflows",
         "k-squared-underflows", "lam-overflows", "unstable-step",
         "limit-a-values", "limit-n-max-negative", "verify-k-zero",
@@ -397,7 +429,9 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config, named):
         "sweep-axes-huge", "spectrum-n-max-negative",
         "classical-amplitude-negative", "classical-step-zero",
         "classical-t-end-negative", "spectrum-hbar-zero", "wavefn-hbar-zero",
-        "verify-lam-2.4", "classical-amplitude-over", "classical-amplitude-at"])
+        "verify-lam-2.4", "classical-amplitude-over", "classical-amplitude-at",
+        "classical-amplitude-squared-overflows-k0",
+        "classical-amplitude-squared-overflows"])
 def test_finite_but_extreme_input_exits_2(tmp_path, capsys, argv, named):
     out = tmp_path / "o.csv"
     tracemalloc.start()
